@@ -1,7 +1,7 @@
 """One benchmark repetition: a fresh interpreter that runs a workload.
 
 Run by run.py, never by hand: `python3 perfbench/rep.py '<json spec>'`.
-The spec carries the workload, seed, sub-seed index, worker count, trace
+The spec carries the workload, seed, worker count, trace
 flag, size scale and the parent's spawn time on the system-wide monotonic
 clock, so set-up time covers interpreter start, `import aesfec` and the construction of the
 cipher, the random linear code and both oracles. The last stdout line is a
@@ -57,7 +57,7 @@ def run(spec):
         tracer.install()
     out = []
     cpu0 = _cpu_s()
-    for label, cfg in workloads.campaigns(spec["workload"], spec["seed"], spec["scale"], spec["sub"]):
+    for label, cfg in workloads.campaigns(spec["workload"], spec["seed"], spec["scale"]):
         t0 = time.perf_counter()
         try:
             # Looked up on the module so a traced repetition enters the wrapper.
@@ -82,6 +82,7 @@ def run(spec):
         report["trace"] = {
             "self_times": tracer.self_times(),
             "counts": dict(tracer.counts),
+            "coverage": tracer.coverage(),
             "missing": tracer.missing,
         }
     return report

@@ -3,8 +3,9 @@
     python3 -m pytest -q perfbench/test_selftest.py
 
 Checks that every metric named in BENCHMARK.json is emitted with its unit,
-that a wrong expected hash is reported as a failure, that the tracer's self
-times cover the traced wall time, and that the benchmark refuses to report
+that a wrong or missing expected hash is reported as a failure, that the
+tracer's non-root self times cover the traced wall time and stop covering it
+when an entry point vanishes, and that the benchmark refuses to report
 without the program's source.
 """
 
@@ -24,7 +25,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import run  # noqa: E402
 import workloads  # noqa: E402
-from tracer import Tracer  # noqa: E402
+from tracer import ENTRY_POINTS, Tracer  # noqa: E402
 
 SCALE = 64
 
@@ -68,8 +69,12 @@ def test_every_metric_emitted_with_unit(spec, traced, trace):
 
 
 def test_wrong_expected_hash_is_a_failure(tmp_path, monkeypatch, capsys):
-    configs = [cfg for sub in range(run.MIN_REPS) for _, cfg in workloads.campaigns("tail", 3, SCALE, sub)]
-    record = {"expected_sha256": {run.config_key(cfg): "0" * 64 for cfg in configs}}
+    configs = [cfg for _, cfg in workloads.campaigns("tail", 3, SCALE)]
+    record = {
+        "expected_sha256": {run.config_key(cfg): "0" * 64 for cfg in configs},
+        "recorded_seeds": [3],
+        "held_out_seed": 1017,
+    }
     path = tmp_path / "record.json"
     path.write_text(json.dumps(record))
     monkeypatch.setattr(run, "RECORD", str(path))
@@ -83,20 +88,41 @@ def test_wrong_expected_hash_is_a_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_count_or_repeat_mismatch_is_a_failure():
-    rep = run.run_rep("tail", 3, SCALE, 0, 1, time.perf_counter() + 60)
+    rep = run.run_rep("tail", 3, SCALE, 1, time.perf_counter() + 60)
+    labels = [label for label, _ in workloads.campaigns("tail", 3, SCALE)]
     label, cfg = workloads.campaigns("tail", 3, SCALE)[0]
-    assert run.check_rep("tail", 3, SCALE, rep, {}, {}) == {}
-    # The same sample path hashed differently earlier in the run.
-    fails = run.check_rep("tail", 3, SCALE, rep, {}, {run.config_key(cfg): "0" * 64})
+    first = {}
+    assert run.check_rep("tail", 3, SCALE, rep, first, strict=False) == {}
+    assert len(first) == len(labels)
+    # Later repetitions are held to repetition 0's hashes.
+    assert run.check_rep("tail", 3, SCALE, rep, first, strict=False) == {}
+    fails = run.check_rep("tail", 3, SCALE, rep, {run.config_key(cfg): "0" * 64}, strict=False)
     assert list(fails) == [label]
+    # At a recorded seed, a config without a recorded hash is never skipped.
+    assert list(run.check_rep("tail", 3, SCALE, rep, {}, strict=True)) == labels
     rep["campaigns"][0]["blocks"][0] -= 1
-    fails = run.check_rep("tail", 3, SCALE, rep, {}, {})
+    fails = run.check_rep("tail", 3, SCALE, rep, {}, strict=False)
     assert list(fails) == [label]
 
 
 def test_tracer_covers_traced_wall_time(traced):
-    assert traced["metrics"]["trace.coverage_ratio"]["value"] >= 0.9
+    assert traced["metrics"]["trace.coverage_ratio"]["value"] >= run.MIN_COVERAGE
     assert traced["metrics"]["grand.searched_blocks"]["value"] > 0
+
+
+def test_vanished_entry_point_fails_coverage():
+    from aesfec import campaign
+
+    # As if a refactor renamed run_batch: its self time falls to the root.
+    tracer = Tracer()
+    tracer.install([ep if ep[2] != "campaign.batch" else (ep[0], "_PointContext._gone", ep[2]) for ep in ENTRY_POINTS])
+    try:
+        for _, cfg in workloads.campaigns("tail", 3, SCALE):
+            campaign.run_campaign(campaign.CampaignConfig(**cfg), workers=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == ["aesfec.campaign._PointContext._gone"]
+    assert tracer.coverage() < run.MIN_COVERAGE
 
 
 def test_tracer_reports_missing_entry_point():

@@ -118,3 +118,19 @@ class Tracer:
             s, inc, n = out.get(name, (0.0, 0.0, 0))
             out[name] = (s + (end - start) - child[i], inc + (end - start), n + 1)
         return out
+
+    def coverage(self):
+        """Share of the root spans' time spent inside non-root spans.
+
+        This equals the non-root self time over the traced wall time. The
+        roots' own self time is what no wrapped entry point accounts for, so
+        an entry point that vanished lowers the ratio (counting it too would
+        make the ratio 1 whatever the wrappers miss).
+        """
+        root = covered = 0.0
+        for _, start, end, parent in self.spans:
+            if parent < 0:
+                root += end - start
+            elif self.spans[parent][3] < 0:
+                covered += end - start
+        return covered / root if root else 0.0

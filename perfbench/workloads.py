@@ -1,12 +1,8 @@
 """Workload definitions: the campaigns each benchmark workload runs.
 
-`tail` and `deep` take their master_seed from the benchmark seed and a
-sub-seed index. The first two repetitions of a run use sub-seed 0, so
-every run checks that a sample path replays identically; each later
-repetition uses the next sub-seed, so a run averages over several sample
-paths (a deep repetition's query count varies by ~5% between master
-seeds). The code construction (AES key, rlc_seed) stays at the project
-defaults.
+`tail` and `deep` take their master_seed from the benchmark seed, so every
+repetition of a run does the same work and must produce the same hashes.
+The code construction (AES key, rlc_seed) stays at the project defaults.
 `pinned-grand` is exactly the criterion-6 aes/grand and rlc/grand pair,
 seeds 1/1 included, whatever the benchmark seed: its hashes are the Tier-1
 fixture's, and its time to 100 errors varies by 10-20% between master
@@ -39,7 +35,6 @@ _FIXED = {
 }
 
 PINNED_GRID = (6.0, 6.5, 7.0, 7.5, 8.0)
-SUB_SEED_STRIDE = 1_000_000  # master_seed = seed + stride * sub; sub 0 is the seed itself
 
 
 def default_workers(workload):
@@ -47,10 +42,10 @@ def default_workers(workload):
     return 2 if workload == "pinned-grand" else 1
 
 
-def campaigns(workload, seed, scale=1, sub=0):
-    """[(label, config dict)] for one workload, seed and sub-seed index;
-    `scale` > 1 divides the block counts (self-test sizes only; scale 1 is
-    the benchmark)."""
+def campaigns(workload, seed, scale=1):
+    """[(label, config dict)] for one workload and seed; `scale` > 1
+    divides the block counts (self-test sizes only; scale 1 is the
+    benchmark)."""
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
     if scale < 1:
@@ -90,7 +85,7 @@ def campaigns(workload, seed, scale=1, sub=0):
                     max_queries=10**6,
                     min_block_errors=blocks,
                     max_blocks=blocks,
-                    master_seed=seed + SUB_SEED_STRIDE * sub,
+                    master_seed=seed,
                     rlc_seed=1,
                 ),
             )
