@@ -128,11 +128,18 @@ def _cmd_run(args):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    out = args.out or Path(f"campaign_{config.code_kind}_{config.decoder_kind}.json")
+    # Make the output directory before the first block, so a campaign never
+    # finishes only to find it cannot write its results.
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory: {e}", file=sys.stderr)
+        return 2
     if not args.quiet:
         print(f"running {config.code_kind}/{config.decoder_kind} n={config.n} k={config.k} "
               f"grid={list(config.ebn0_grid_db)} seed={config.master_seed}")
     result = run_campaign(config, workers=args.workers, progress=not args.quiet)
-    out = args.out or Path(f"campaign_{config.code_kind}_{config.decoder_kind}.json")
     result.save(out)
     csv_path = out.with_suffix(".csv")
     csv_path.write_text(result.to_csv())

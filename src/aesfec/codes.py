@@ -7,7 +7,11 @@ with probability exactly 2^-(n-k) because decryption is a bijection, so the
 oracle has a known, small false-acceptance rate rather than none.
 
 The baseline is a systematic random linear code G = [I_k | P] whose oracle
-checks the syndrome H y^T = 0 with H = [P^T | I_{n-k}].
+checks the syndrome H y^T = 0 with H = [P^T | I_{n-k}]. The syndrome is
+linear, so the code precomputes, for every byte position j and byte value v,
+the syndrome of the word that is v at byte j and zero elsewhere; a word's
+syndrome is then the XOR of one table lookup per byte. The same tables
+encode: the syndrome of the zero-padded message [m | 0] is the parity m P.
 
 Oracles work on batches of packed words, one row of ceil(n/8) bytes per
 word, bit position p at byte p >> 3, mask 0x80 >> (p & 7). That layout is
@@ -151,14 +155,17 @@ class RlcCode:
     """Systematic random linear code defined by its parity block P."""
 
     def __init__(self, params, p_matrix, seed=None):
-        p = np.asarray(p_matrix, dtype=np.uint8)
+        p = np.array(p_matrix, dtype=np.uint8)
         if p.shape != (params.k, params.pad_bits):
             raise ValueError(f"P must be {(params.k, params.pad_bits)}, got {p.shape}")
         if p.size and p.max() > 1:
             raise ValueError("P must be binary")
         self.params = params
         self.seed = seed
+        # The syndrome tables are derived from P once, so P is frozen.
+        p.setflags(write=False)
         self.P = p
+        self._tables, self._offsets = _syndrome_tables(self.parity_check_matrix, params.nbytes)
 
     @property
     def generator_matrix(self):
@@ -168,11 +175,25 @@ class RlcCode:
     def parity_check_matrix(self):
         return np.hstack([self.P.T, np.eye(self.params.pad_bits, dtype=np.uint8)])
 
+    def syndromes(self, words):
+        """(B, m) packed words, m <= nbytes -> (B, lanes) syndromes, zero iff H y^T = 0.
+
+        A word shorter than nbytes is read as zero-extended to n bits.
+        """
+        idx = words.T + self._offsets[: words.shape[1]]
+        syn = np.empty((words.shape[0], len(self._tables)), self._tables[0].dtype)
+        for lane, table in enumerate(self._tables):
+            np.bitwise_xor.reduce(table.take(idx), axis=0, out=syn[:, lane])
+        return syn
+
     def encode_bits(self, msgs):
         """(B, k) message bits -> (B, n) codeword bits."""
         msgs = np.asarray(msgs, dtype=np.uint8)
-        parity = (msgs.astype(np.uint16) @ self.P.astype(np.uint16)) & 1
-        return np.hstack([msgs, parity.astype(np.uint8)])
+        if msgs.ndim != 2 or msgs.shape[1] != self.params.k:
+            raise ValueError(f"expected (B, {self.params.k}) message bits, got shape {msgs.shape}")
+        syn = self.syndromes(np.packbits(msgs, axis=1))
+        parity = np.unpackbits(syn.view(np.uint8), axis=1, count=self.params.pad_bits)
+        return np.hstack([msgs, parity])
 
     def to_text(self):
         """Dimensions header plus one hex row of G per line."""
@@ -199,6 +220,33 @@ class RlcCode:
         return cls(params, g[:, params.k :], seed=seed)
 
 
+def _syndrome_tables(h, nbytes):
+    """Per-byte syndrome tables of an (r, n) parity-check matrix h.
+
+    Syndromes are packed like words (row i at byte i >> 3, mask 0x80 >> (i & 7))
+    into lanes of the smallest unsigned integer that holds min(r, 64) bits,
+    one lane per 64 rows. XOR acts bytewise, so byte order never matters.
+    Returns one flat table per lane, entry 256 j + v being the syndrome of
+    byte value v at byte j, and the per-byte index offsets 256 j as a column.
+    """
+    r, n = h.shape
+    sbytes = max(1, -(-r // 8))
+    lane = np.dtype(f"u{min(8, 1 << (sbytes - 1).bit_length())}")
+    lanes = -(-sbytes // lane.itemsize)
+    # Column syndromes; positions past n (the unused bits of the last byte)
+    # keep a zero column, so they never affect a syndrome.
+    cols = np.zeros((8 * nbytes, 8 * lane.itemsize * lanes), dtype=np.uint8)
+    cols[:n, :r] = h.T
+    cols = np.packbits(cols, axis=1).reshape(nbytes, 8, -1)
+    # Double the table once per bit, least significant (position 8j + 7) first.
+    table = np.zeros((nbytes, 1, cols.shape[2]), dtype=np.uint8)
+    for b in range(7, -1, -1):
+        table = np.concatenate([table, table ^ cols[:, b : b + 1]], axis=1)
+    flat = table.reshape(256 * nbytes, -1).view(lane)
+    offsets = (256 * np.arange(nbytes)).astype(np.min_scalar_type(256 * nbytes - 1))
+    return [np.ascontiguousarray(flat[:, i]) for i in range(lanes)], offsets[:, None]
+
+
 def rlc_generate(params, seed):
     """Draw a systematic RLC with i.i.d. uniform parity block from a seed."""
     rng = np.random.default_rng(seed)
@@ -214,23 +262,23 @@ def rlc_encode(m, code):
 
 
 class RlcOracle(MembershipOracle):
-    """Syndrome check H y^T = 0 on packed words via bytewise popcount."""
+    """Syndrome check H y^T = 0 on packed words via the code's byte tables."""
 
     def __init__(self, code):
         super().__init__(code.params)
         self.code = code
-        self._h_packed = np.packbits(code.parity_check_matrix, axis=1)
         tail = 8 * self.params.nbytes - self.params.n
         self._word_mask = None
         if tail:
-            # Ignore the unused trailing bits of the last byte.
+            # Decoded blocks carry zeros in the unused trailing bits of the
+            # last byte; the syndrome ignores those bits anyway.
             self._word_mask = _position_mask(self.params, np.arange(self.params.n))
 
     def decode_batch(self, words):
         words = np.asarray(words, dtype=np.uint8)
+        if words.ndim != 2 or words.shape[1] != self.params.nbytes:
+            raise ValueError(f"expected (B, {self.params.nbytes}) packed words, got shape {words.shape}")
+        ok = ~self.code.syndromes(words).any(axis=1)
         if self._word_mask is not None:
             words = words & self._word_mask
-        bad = np.zeros(words.shape[0], dtype=bool)
-        for row in self._h_packed:
-            bad |= (np.bitwise_count(words & row).sum(axis=1, dtype=np.uint32) & 1).astype(bool)
-        return ~bad, words
+        return ok, words

@@ -61,6 +61,37 @@ def test_run_writes_json_and_csv(tmp_path, capsys):
     assert "8.0" in table and "bler" in table.lower()
 
 
+def test_run_creates_missing_output_directory(tmp_path):
+    out = tmp_path / "results" / "nested" / "x.json"
+    rc = main(
+        [
+            "run",
+            "--code", "rlc",
+            "--ebn0", "8.0",
+            "--min-block-errors", "1",
+            "--max-blocks", "256",
+            "--out", str(out),
+            "--quiet",
+        ]
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["code_kind"] == "rlc"
+    assert out.with_suffix(".csv").exists()
+
+
+def test_run_fails_before_campaign_on_unwritable_output(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "results"
+    blocker.write_text("a file where the output directory should go")
+
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr("aesfec.cli.run_campaign", no_campaign)
+    rc = main(["run", "--ebn0", "8.0", "--out", str(blocker / "x.json"), "--quiet"])
+    assert rc == 2
+    assert "output directory" in capsys.readouterr().err
+
+
 def test_run_rejects_bad_combo(tmp_path, capsys):
     rc = main(
         [

@@ -1,5 +1,7 @@
 """Encoders and membership oracles for both code families."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +184,90 @@ class TestSmallRlcExhaustive:
         ok, decoded = self.oracle.decode_batch(words)
         for w in range(4096):
             assert bool(ok[w]) == ((w << 4) in self.codebook)
+
+
+# One geometry per shape the syndrome tables must handle: the pinned code,
+# a single (odd) byte, n not a multiple of 8, n - k = 0, n - k above 16,
+# and n - k above 64 with an odd byte count.
+GEOMETRIES = [(128, 116), (8, 4), (12, 8), (16, 16), (40, 20), (100, 30)]
+
+
+def _word_layouts(words):
+    """The same rows as a C array, a strided row view, a Fortran array and a column slice."""
+    spaced = np.repeat(words, 2, axis=0)[::2]
+    wide = np.zeros((words.shape[0], words.shape[1] + 3), dtype=np.uint8)
+    wide[:, 1:-2] = words
+    return [words, spaced, np.asfortranarray(words), wide[:, 1:-2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GEOMETRIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.floats(0.0, 0.2),
+)
+def test_rlc_tables_match_matrix_reference(geometry, seed, batch, flip_rate):
+    n, k = geometry
+    code = rlc_generate(CodeParams(n=n, k=k), seed=seed)
+    oracle = RlcOracle(code)
+    g = code.generator_matrix.astype(np.int64)
+    h = code.parity_check_matrix.astype(np.int64)
+    rng = np.random.default_rng(seed)
+    msgs = rng.integers(0, 2, size=(batch, k), dtype=np.uint8)
+    cw = code.encode_bits(msgs)
+    assert np.array_equal(cw, (msgs @ g) & 1)
+    # Codewords with sparse flips: some rows are codewords, some are not.
+    bits = cw ^ (rng.random(cw.shape) < flip_rate).astype(np.uint8)
+    words = np.packbits(bits, axis=1)
+    # Unused trailing bits of the last byte must be ignored.
+    words[:, -1] |= rng.integers(0, 256, batch, dtype=np.uint8) & ~np.packbits(np.ones(n, np.uint8))[-1]
+    want = ((bits.astype(np.int64) @ h.T) % 2 == 0).all(axis=1)
+    for layout in _word_layouts(words):
+        ok, decoded = oracle.decode_batch(layout)
+        assert np.array_equal(ok, want)
+        assert np.array_equal(decoded, np.packbits(bits, axis=1))
+
+
+def test_rlc_rejects_misshapen_inputs():
+    code = rlc_generate(PARAMS, seed=1)
+    with pytest.raises(ValueError):
+        code.encode_bits(np.zeros((4, 115), np.uint8))
+    with pytest.raises(ValueError):
+        RlcOracle(code).decode_batch(np.zeros((4, 15), np.uint8))
+    assert not code.P.flags.writeable
+
+
+def test_rlc_table_build_is_cheap():
+    # Every process pays this once per grid point, inside set-up time.
+    t0 = time.perf_counter()
+    for seed in range(20):
+        code = rlc_generate(PARAMS, seed=seed)
+    assert (time.perf_counter() - t0) / 20 < 0.02
+    # One 16-bit entry per (byte position, byte value).
+    assert sum(t.nbytes for t in code._tables) == 16 * 256 * 2
+
+
+def test_pool_worker_builds_tables_once_per_point(monkeypatch):
+    from aesfec import campaign, codes
+
+    calls = []
+    build = codes._syndrome_tables
+
+    def counting(h, nbytes):
+        calls.append(nbytes)
+        return build(h, nbytes)
+
+    monkeypatch.setattr(codes, "_syndrome_tables", counting)
+    # Restored after the test: this process is no pool worker.
+    monkeypatch.setattr(campaign, "_WORKER_CONFIG", None)
+    monkeypatch.setattr(campaign, "_WORKER_CTX", {})
+    config = campaign.CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), max_blocks=3 * campaign.TRIAL_BATCH)
+    campaign._pool_init(config.to_dict())
+    for point in (0, 1):
+        for batch in range(3):
+            campaign._pool_batch((point, batch))
+    assert calls == [16, 16]
 
 
 @settings(max_examples=25, deadline=None)
