@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .aes_core import DEFAULT_KEY_HEX, Aes128, key_from_hex
-from .channel import ChannelPoint, llr_from_samples, sigma_from_ebn0
+from .channel import ChannelPoint, awgn_samples, hard_bits, llr_from_samples, modulate, sigma_from_ebn0
 from .codes import AesPadOracle, CodeParams, RlcOracle, message_bit_mask, rlc_generate
-from .grand import DEFAULT_MAX_QUERIES, _grand_engine, _orb_engine
+from .grand import DEFAULT_MAX_QUERIES, guess
 
 __all__ = [
     "TRIAL_BATCH",
@@ -174,76 +174,35 @@ class _PointContext:
         self.msg_mask = message_bit_mask(self.params)
         self.abandon_bit_errors = (self.params.k + 1) // 2
 
-    def encode_bits(self, msgs):
+    def encode(self, msgs):
+        """(B, k) message bits -> (codeword bits, reference blocks).
+
+        A reference block is what a correct decode hands back: the padded
+        plaintext for the aes code, the packed codeword for the rlc.
+        """
         if self.code is not None:
-            return self.code.encode_bits(msgs)
+            cw_bits = self.code.encode_bits(msgs)
+            return cw_bits, np.packbits(cw_bits, axis=1)
         padded = np.zeros((msgs.shape[0], self.params.n), dtype=np.uint8)
         padded[:, : self.params.k] = msgs
-        ct = self.cipher.encrypt_batch(np.packbits(padded, axis=1))
-        return np.unpackbits(ct, axis=1)
-
-    def reference_blocks(self, msgs, codeword_bits):
-        # What a correct decode hands back: the padded plaintext for the aes
-        # code, the codeword itself for the rlc.
-        if self.code is not None:
-            return np.packbits(codeword_bits, axis=1)
-        padded = np.zeros((msgs.shape[0], self.params.n), dtype=np.uint8)
-        padded[:, : self.params.k] = msgs
-        return np.packbits(padded, axis=1)
-
-    def _message_bit_errors(self, decoded, reference):
-        return int(np.bitwise_count((decoded ^ reference) & self.msg_mask).sum())
+        ref = np.packbits(padded, axis=1)
+        return np.unpackbits(self.cipher.encrypt_batch(ref), axis=1), ref
 
     def run_batch(self, batch_index, size):
         cfg = self.config
         mrng = np.random.default_rng((cfg.master_seed, self.point_index, batch_index, 0))
         msgs = mrng.integers(0, 2, size=(size, self.params.k), dtype=np.uint8)
         nrng = np.random.default_rng((cfg.master_seed, self.point_index, batch_index, 1))
-        noise = nrng.standard_normal((size, self.params.n))
+        cw_bits, ref = self.encode(msgs)
+        y = awgn_samples(modulate(cw_bits), self.sigma, nrng)
 
-        cw_bits = self.encode_bits(msgs)
-        y = (1.0 - 2.0 * cw_bits) + self.sigma * noise
-        words = np.packbits((y < 0).astype(np.uint8), axis=1)
-        ref = self.reference_blocks(msgs, cw_bits)
-
-        error = np.zeros(size, dtype=bool)
-        bit_errors = np.zeros(size, dtype=np.int64)
-        queries = np.ones(size, dtype=np.int64)
-        abandoned = np.zeros(size, dtype=bool)
-
-        # First query (the empty pattern) for the whole batch at once; both
-        # decoders start there, so clean blocks cost exactly one query.
-        ok, blocks = self.oracle.decode_batch(words)
-        if ok.any():
-            diff = (blocks[ok] ^ ref[ok]) & self.msg_mask
-            be = np.bitwise_count(diff).sum(axis=1).astype(np.int64)
-            bit_errors[ok] = be
-            error[ok] = be > 0
-
-        rest = np.flatnonzero(~ok)
-        if rest.size:
-            if cfg.decoder_kind == "orbgrand":
-                llrs = llr_from_samples(y[rest], self.sigma)
-                perms = np.argsort(np.abs(llrs), axis=1, kind="stable")
-            for j, i in enumerate(rest):
-                if cfg.decoder_kind == "grand":
-                    block, q, _ = _grand_engine(
-                        words[i], self.oracle, cfg.max_queries, start_weight=1, queries_done=1
-                    )
-                else:
-                    block, q, _ = _orb_engine(
-                        words[i], perms[j], self.oracle, cfg.max_queries, start_index=1, queries_done=1
-                    )
-                queries[i] = q
-                if block is None:
-                    abandoned[i] = True
-                    error[i] = True
-                    bit_errors[i] = self.abandon_bit_errors
-                else:
-                    be = self._message_bit_errors(block, ref[i])
-                    bit_errors[i] = be
-                    error[i] = be > 0
-        return error, bit_errors, queries, abandoned
+        reliability = None
+        if cfg.decoder_kind == "orbgrand":
+            reliability = np.abs(llr_from_samples(y, self.sigma))
+        found, blocks, queries = guess(np.packbits(hard_bits(y), axis=1), self.oracle, cfg.max_queries, reliability)
+        bit_errors = np.bitwise_count((blocks ^ ref) & self.msg_mask).sum(axis=1, dtype=np.int64)
+        bit_errors[~found] = self.abandon_bit_errors
+        return bit_errors > 0, bit_errors, queries, ~found
 
 
 def _batch_size(config, batch_index):

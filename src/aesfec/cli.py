@@ -129,6 +129,10 @@ def _cmd_run(args):
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = args.out or Path(f"campaign_{config.code_kind}_{config.decoder_kind}.json")
+    csv_path = out.with_suffix(".csv")
+    if csv_path == out:
+        print(f"error: --out {out} is also where the CSV goes; give the JSON path another suffix", file=sys.stderr)
+        return 2
     # Make the output directory before the first block, so a campaign never
     # finishes only to find it cannot write its results.
     try:
@@ -141,7 +145,6 @@ def _cmd_run(args):
               f"grid={list(config.ebn0_grid_db)} seed={config.master_seed}")
     result = run_campaign(config, workers=args.workers, progress=not args.quiet)
     result.save(out)
-    csv_path = out.with_suffix(".csv")
     csv_path.write_text(result.to_csv())
     if not args.quiet:
         print(f"wrote {out} and {csv_path} ({result.wall_time_s:.1f} s)")

@@ -20,26 +20,45 @@ Pattern orders are pinned exactly:
   with the r-th smallest |LLR|. For n = 4 the order starts
   {}, {1}, {2}, {3}, {1,2}, {4}, {1,3}, ...
 
-Everything on the hot path works on packed words (np.packbits layout);
-pattern chunks become (C, nbytes) XOR masks so one oracle call tests a few
-thousand candidates.
+One search core, guess(), decodes every row of a batch in lockstep. Step 0
+tests the received words themselves (the empty pattern) in one oracle
+call. Each later step tests the next c patterns [i, i + c) for every row
+still searching, again in one call: c starts at _FIRST_STEP, grows
+_GROWTH-fold per step, and is cut so that no call holds more than
+_MAX_WORDS candidate words. A row retires at the first accepting column of
+its step, after i + column + 1 queries, and is abandoned exactly where the
+budget or the pattern space ends. GRAND XORs the shared packed pattern
+masks onto each word; ORBGRAND XORs, for each rank in a pattern, the
+one-bit mask of the position that rank names in that row, gathered through
+the row's own stable argsort of |LLR|. grand_decode and orbgrand_decode
+are one-row calls into the core.
+
+Words are packed (np.packbits layout). Both orders are built with numpy,
+lazily, as far as the searches reach: a Hamming weight class from the class
+below it, and the logistic order one rank sum at a time from smaller sets
+of distinct ranks. The python generators hamming_order_patterns and
+logistic_order_patterns are the references they are tested against.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 import numpy as np
 
 from .bitblock import BitVec, split
-from .channel import SoftWord, hard_bits, reliability_permutation
+from .channel import SoftWord, hard_bits
 
 __all__ = [
     "DecodeOutcome",
     "hamming_order_patterns",
     "logistic_order_patterns",
     "pattern_positions",
+    "guess",
     "grand_decode",
     "orbgrand_decode",
     "DEFAULT_MAX_QUERIES",
@@ -47,13 +66,17 @@ __all__ = [
 
 DEFAULT_MAX_QUERIES = 10**6
 
-# Chunk of candidates tested per oracle call. Large enough to amortize the
-# per-call python and cipher-setup overhead, small enough that a hit early
-# in a chunk does not waste much batched work.
-_CHUNK = 4096
+# Patterns per row in the first step after the empty pattern, and the
+# factor each later step grows by: most searched rows end within a few
+# queries, so small first steps waste little oracle work past the hit,
+# while long searches still reach large steps after a few calls.
+_FIRST_STEP = 16
+_GROWTH = 4
+# Candidate words per oracle call at most (256 KiB of words at n = 128).
+_MAX_WORDS = 1 << 14
 
-# Cache the XOR-mask array for a whole weight class when it stays under
-# this many bytes; heavier classes are streamed in _CHUNK-sized pieces.
+# Weight classes whose masks fit in this many bytes are built whole and
+# kept; heavier classes are built piecewise, on demand, from the class below.
 _WEIGHT_CACHE_BYTES = 8 << 20
 
 
@@ -145,205 +168,217 @@ class DecodeOutcome:
         return self.message is None
 
 
-# bit-reversal of a byte; pattern words are little-endian per byte while the
-# packed word layout puts position 8j at the high bit of byte j
-_BITREV = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
-
-
-def _words_to_masks(words, nbytes):
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in words)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
-    return _BITREV[arr]
+@functools.cache
+def _one_bit_masks(n):
+    """(n, nbytes) packed masks; row p flips position p."""
+    masks = np.packbits(np.eye(n, dtype=np.uint8), axis=1)
+    masks.setflags(write=False)
+    return masks
 
 
 class _HammingMasks:
-    """Per-n provider of weight-class XOR masks in pinned order."""
+    """Per-n XOR masks of the Hamming order, addressed by pattern index."""
 
     def __init__(self, n):
         self.n = n
         self.nbytes = (n + 7) // 8
-        self._cached = {}
+        # Index of the first pattern of each weight class, then 2^n.
+        self.starts = list(accumulate((comb(n, w) for w in range(n + 1)), initial=0))
+        self._classes = [np.zeros((1, self.nbytes), dtype=np.uint8)]
 
-    def chunks(self, start_weight=0):
-        """Yield (weight, masks) with masks in global Hamming order;
-        a weight class may arrive split across several arrays."""
-        for w in range(start_weight, self.n + 1):
-            if w in self._cached:
-                full = self._cached[w]
-                for i in range(0, len(full), _CHUNK):
-                    yield w, full[i : i + _CHUNK]
-                continue
-            count = comb(self.n, w)
-            if count * self.nbytes <= _WEIGHT_CACHE_BYTES:
-                full = _words_to_masks(list(_gosper(self.n, w)), self.nbytes)
-                full.setflags(write=False)
-                self._cached[w] = full
-                for i in range(0, len(full), _CHUNK):
-                    yield w, full[i : i + _CHUNK]
-            else:
-                gen = _gosper(self.n, w)
-                while True:
-                    words = []
-                    for v in gen:
-                        words.append(v)
-                        if len(words) == _CHUNK:
-                            break
-                    if not words:
-                        break
-                    yield w, _words_to_masks(words, self.nbytes)
+    def weight(self, index):
+        return bisect_right(self.starts, index) - 1
+
+    def masks(self, i0, i1):
+        """(i1 - i0, nbytes) masks of patterns i0 .. i1 - 1."""
+        parts = []
+        w = self.weight(i0)
+        while i0 < i1:
+            end = min(i1, self.starts[w + 1])
+            parts.append(self._rows(w, i0 - self.starts[w], end - self.starts[w]))
+            i0, w = end, w + 1
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _rows(self, w, a, b):
+        # The kept classes are a prefix 0, 1, ..., so each is built from a kept one.
+        while len(self._classes) <= w:
+            nxt = len(self._classes)
+            if comb(self.n, nxt) * self.nbytes > _WEIGHT_CACHE_BYTES:
+                return self._build(w, a, b)
+            full = self._build(nxt, 0, comb(self.n, nxt))
+            full.setflags(write=False)
+            self._classes.append(full)
+        return self._classes[w][a:b]
+
+    def _build(self, w, a, b):
+        # Increasing integer value within a class is colex order: rows
+        # C(t, w) .. C(t + 1, w) - 1 of class w are the first C(t, w - 1)
+        # rows of class w - 1, each plus the top position t.
+        t = w - 1
+        while comb(t + 1, w) <= a:
+            t += 1
+        parts = []
+        while a < b:
+            lo = comb(t, w)
+            end = min(b, comb(t + 1, w))
+            parts.append(self._rows(w - 1, a - lo, end - lo) ^ _one_bit_masks(self.n)[t])
+            a, t = end, t + 1
+        return np.concatenate(parts)
 
 
 class _LogisticPatterns:
     """Per-n store of rank sets in logistic order, grown on demand.
 
-    Rank sets are kept flattened (uint16 ranks plus an offsets array) so a
-    contiguous range of patterns can be turned into scatter indices without
-    touching python tuples again.
+    Pattern j is row j of a uint16 array: its ranks ascending, padded with
+    zeros, so a row's sum is its rank sum. The store is built with numpy,
+    one rank sum at a time, and at least doubles whenever a search reaches
+    past its end.
     """
-
-    _GROW = 1 << 16
 
     def __init__(self, n):
         self.n = n
-        self._gen = logistic_order_patterns(n)
-        self._flat = np.empty(0, dtype=np.uint16)
-        self._offsets = np.zeros(1, dtype=np.int64)
-        self._exhausted = False
+        self._ranks = np.zeros((1, 0), dtype=np.uint16)  # the empty set
+        self._sum = 0  # largest rank sum in the store
+        self._sets = {}
 
-    @property
-    def count(self):
-        return len(self._offsets) - 1
+    def weight(self, index):
+        return int(self.ranks(index, index + 1).sum())
 
-    def ensure(self, count):
-        while self.count < count and not self._exhausted:
-            fresh = []
-            for pat in self._gen:
-                fresh.append(pat)
-                if len(fresh) == self._GROW:
-                    break
-            if not fresh:
-                self._exhausted = True
-                break
-            flat = np.fromiter(
-                (r for pat in fresh for r in pat),
-                dtype=np.uint16,
-                count=sum(len(p) for p in fresh),
-            )
-            sizes = np.fromiter((len(p) for p in fresh), dtype=np.int64, count=len(fresh))
-            self._flat = np.concatenate([self._flat, flat])
-            self._offsets = np.concatenate(
-                [self._offsets, self._offsets[-1] + np.cumsum(sizes)]
-            )
+    def ranks(self, i0, i1):
+        """Rows i0 .. i1 - 1, cut to the widest rank set among them."""
+        if len(self._ranks) < i1:
+            self._grow(max(i1, 2 * len(self._ranks), 64))
+        rows = self._ranks[i0:i1]
+        return rows[:, : int(np.count_nonzero(rows, axis=1).max(initial=0))]
 
-    def slice(self, i0, i1):
-        """(flat ranks, row index per rank, rank sums) for patterns i0..i1."""
-        rel = self._offsets[i0 : i1 + 1] - self._offsets[i0]
-        flat = self._flat[self._offsets[i0] : self._offsets[i1]]
-        rows = np.repeat(np.arange(i1 - i0), np.diff(rel))
-        csum = np.concatenate([[0], np.cumsum(flat, dtype=np.int64)])
-        return flat, rows, csum[rel[1:]] - csum[rel[:-1]]
+    def _grow(self, count):
+        parts = [self._ranks]
+        have = len(self._ranks)
+        while have < count and self._sum < self.n * (self.n + 1) // 2:
+            self._sum += 1
+            m = 1
+            while m * (m + 1) // 2 <= self._sum:
+                parts.append(self._distinct(self._sum, m))
+                have += len(parts[-1])
+                m += 1
+        width = max(p.shape[1] for p in parts)
+        self._ranks = np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1]))) for p in parts])
 
-
-_HAMMING_CACHE = {}
-_LOGISTIC_CACHE = {}
-
-
-def _hamming_masks(n):
-    if n not in _HAMMING_CACHE:
-        _HAMMING_CACHE[n] = _HammingMasks(n)
-    return _HAMMING_CACHE[n]
+    def _distinct(self, w, m):
+        """(count, m) sets of m distinct ranks in 1..n summing to w, in
+        lexicographic order (what _distinct_parts yields)."""
+        if (w, m) not in self._sets:
+            if m == 1:
+                sets = np.array([[w]] if w <= self.n else np.zeros((0, 1)), dtype=np.uint16)
+            else:
+                # With first rank a, the other m - 1 ranks, each minus a,
+                # are a set summing to w - m a whose largest rank is n - a
+                # at most.
+                pieces = [np.zeros((0, m), dtype=np.uint16)]
+                for a in range(1, (w - m * (m - 1) // 2) // m + 1):
+                    rest = self._distinct(w - m * a, m - 1)
+                    rest = rest[rest[:, -1] <= self.n - a]
+                    pieces.append(np.hstack([np.full((len(rest), 1), a, dtype=np.uint16), rest + a]))
+                sets = np.concatenate(pieces)
+            self._sets[w, m] = sets
+        return self._sets[w, m]
 
 
-def _logistic_patterns(n):
-    if n not in _LOGISTIC_CACHE:
-        _LOGISTIC_CACHE[n] = _LogisticPatterns(n)
-    return _LOGISTIC_CACHE[n]
+_hamming_masks = functools.cache(_HammingMasks)
+_logistic_patterns = functools.cache(_LogisticPatterns)
 
 
-def _check_budget(max_queries):
+def guess(words, oracle, max_queries, reliability=None):
+    """Decode every row of a batch of packed hard-decision words in lockstep.
+
+    reliability=None searches the Hamming order (GRAND); a (B, n) array of
+    |LLR| per row searches the logistic order through each row's own
+    reliability ranks (ORBGRAND). Returns (found (B,), blocks (B, nbytes),
+    queries (B,)). A found row's block is what the oracle decoded at its
+    first acceptance, reached at query `queries`; a row not found was
+    abandoned after min(max_queries, 2^n) queries, and its block is
+    meaningless.
+    """
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
+    n, nbytes = oracle.params.n, oracle.params.nbytes
+    words = np.asarray(words, dtype=np.uint8)
+    if words.ndim != 2 or words.shape[1] != nbytes:
+        raise ValueError(f"expected (B, {nbytes}) packed words, got shape {words.shape}")
+    if reliability is not None and np.shape(reliability) != (len(words), n):
+        raise ValueError(f"expected ({len(words)}, {n}) reliabilities, got shape {np.shape(reliability)}")
+    ok, blocks = oracle.decode_batch(words)
+    found = np.array(ok, dtype=bool)
+    blocks = np.array(blocks, dtype=np.uint8)  # a copy: some oracles hand back their input
+    queries = np.ones(len(words), dtype=np.int64)
+    active = np.flatnonzero(~found)
+    y = words[active]
+    if reliability is None:
+        hamming = _hamming_masks(n)
+    else:
+        store = _logistic_patterns(n)
+        # (n + 1, rows, nbytes): entry r, a is the one-bit mask of the
+        # position that rank r names in row a; rank 0 (padding) names none.
+        rank_masks = np.zeros((n + 1, len(active), nbytes), dtype=np.uint8)
+        perms = np.argsort(np.asarray(reliability)[active], axis=1, kind="stable")
+        rank_masks[1:] = _one_bit_masks(n)[perms.T]
+    space = min(max_queries, 1 << n)
+    i, c = 1, _FIRST_STEP
+    while active.size and i < space:
+        c = min(c, max(1, _MAX_WORDS // active.size), space - i)
+        # Candidates are pattern-major: (c, rows, nbytes).
+        if reliability is None:
+            cand = hamming.masks(i, i + c)[:, None] ^ y
+        else:
+            ranks = store.ranks(i, i + c)
+            cand = y ^ rank_masks.take(ranks[:, 0], axis=0)
+            for col in ranks.T[1:]:
+                cand ^= rank_masks.take(col, axis=0)
+        ok, dec = oracle.decode_batch(cand.reshape(-1, nbytes))
+        ok = ok.reshape(c, len(active))
+        hit = ok.any(axis=0)
+        if hit.any():
+            rows = np.flatnonzero(hit)
+            col = ok[:, rows].argmax(axis=0)
+            done = active[rows]
+            found[done] = True
+            queries[done] = i + 1 + col
+            blocks[done] = dec.reshape(c, len(active), nbytes)[col, rows]
+            active, y = active[~hit], y[~hit]
+            if reliability is not None:
+                rank_masks = rank_masks[:, ~hit]
+        i += c
+        c *= _GROWTH
+    queries[active] = i
+    return found, blocks, queries
 
 
-def _grand_engine(y_bytes, oracle, max_queries, start_weight=0, queries_done=0):
-    """Search Hamming-order patterns. Returns (block bytes or None, queries,
-    accepted weight or None). Abandonment (None block) happens when the
-    budget is spent or every pattern failed."""
-    provider = _hamming_masks(oracle.params.n)
-    queries = queries_done
-    for w, masks in provider.chunks(start_weight):
-        room = max_queries - queries
-        if room <= 0:
-            return None, queries, None
-        if len(masks) > room:
-            masks = masks[:room]
-        hit = oracle.first_accept(y_bytes ^ masks)
-        if hit is None:
-            queries += len(masks)
-            continue
-        idx, block = hit
-        return block, queries + idx + 1, w
-    return None, queries, None
-
-
-def _orb_engine(y_bytes, perm, oracle, max_queries, start_index=0, queries_done=0):
-    """Search logistic-order rank sets. Returns (block bytes or None,
-    queries, accepted rank sum or None)."""
-    n = oracle.params.n
-    store = _logistic_patterns(n)
-    y_bits = np.unpackbits(y_bytes)[:n]
-    perm = np.asarray(perm)
-    queries = queries_done
-    i = start_index
-    chunk = 64
-    while queries < max_queries:
-        want = min(chunk, max_queries - queries)
-        store.ensure(i + want)
-        i1 = min(i + want, store.count)
-        if i1 <= i:
-            return None, queries, None  # pattern space exhausted
-        flat, rows, sums = store.slice(i, i1)
-        cand_bits = np.broadcast_to(y_bits, (i1 - i, n)).copy()
-        if len(flat):
-            cand_bits[rows, perm[flat - 1]] ^= 1
-        hit = oracle.first_accept(np.packbits(cand_bits, axis=1))
-        if hit is None:
-            queries += i1 - i
-            i = i1
-            chunk = min(chunk * 8, _CHUNK)
-            continue
-        idx, block = hit
-        return block, queries + idx + 1, int(sums[idx])
-    return None, queries, None
-
-
-def _finish(oracle, block, queries, weight):
-    if block is None:
-        return DecodeOutcome(message=None, queries=queries, final_weight=None)
-    full = BitVec.from_bytes(block.tobytes(), oracle.params.n)
+def _outcome(oracle, patterns, result):
+    found, blocks, queries = (a[0] for a in result)
+    if not found:
+        return DecodeOutcome(message=None, queries=int(queries), final_weight=None)
+    full = BitVec.from_bytes(blocks.tobytes(), oracle.params.n)
     return DecodeOutcome(
         message=split(full, oracle.params.k)[0],
-        queries=queries,
-        final_weight=weight,
+        queries=int(queries),
+        final_weight=patterns.weight(int(queries) - 1),
     )
 
 
 def grand_decode(y, oracle, max_queries=DEFAULT_MAX_QUERIES):
     """Decode a hard-decision BitVec by guessing noise in Hamming order."""
-    _check_budget(max_queries)
     if len(y) != oracle.params.n:
         raise ValueError(f"expected {oracle.params.n}-bit word, got {len(y)}")
-    y_bytes = np.frombuffer(y.to_bytes(), dtype=np.uint8)
-    return _finish(oracle, *_grand_engine(y_bytes, oracle, max_queries))
+    words = np.frombuffer(y.to_bytes(), dtype=np.uint8)[None]
+    return _outcome(oracle, _hamming_masks(oracle.params.n), guess(words, oracle, max_queries))
 
 
 def orbgrand_decode(word, oracle, max_queries=DEFAULT_MAX_QUERIES):
     """Decode a SoftWord by guessing noise in logistic (rank-sum) order."""
-    _check_budget(max_queries)
     if not isinstance(word, SoftWord):
         raise TypeError("orbgrand_decode needs a SoftWord with LLRs")
     if len(word) != oracle.params.n:
         raise ValueError(f"expected {oracle.params.n}-bit word, got {len(word)}")
-    perm = reliability_permutation(word)
-    y_bytes = np.packbits(hard_bits(word.samples))
-    return _finish(oracle, *_orb_engine(y_bytes, perm, oracle, max_queries))
+    words = np.packbits(hard_bits(word.samples))[None]
+    result = guess(words, oracle, max_queries, reliability=np.abs(word.llrs)[None])
+    return _outcome(oracle, _logistic_patterns(oracle.params.n), result)

@@ -92,6 +92,18 @@ def test_run_fails_before_campaign_on_unwritable_output(tmp_path, capsys, monkey
     assert "output directory" in capsys.readouterr().err
 
 
+def test_run_rejects_out_path_shared_with_csv(tmp_path, capsys, monkeypatch):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr("aesfec.cli.run_campaign", no_campaign)
+    out = tmp_path / "r.csv"
+    rc = main(["run", "--ebn0", "8.0", "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert "suffix" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_bad_combo(tmp_path, capsys):
     rc = main(
         [

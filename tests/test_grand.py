@@ -1,17 +1,30 @@
 """Noise-guessing decoders: pattern orders, query accounting, budgets."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aesfec import grand
 from aesfec.aes_core import Aes128
-from aesfec.bitblock import BitVec
-from aesfec.channel import SoftWord, add_awgn, hard_decision, modulate
-from aesfec.codes import AesPadOracle, CodeParams, RlcOracle, aes_encode, rlc_generate
+from aesfec.bitblock import BitVec, split
+from aesfec.channel import (
+    SoftWord,
+    add_awgn,
+    awgn_samples,
+    hard_bits,
+    hard_decision,
+    llr_from_samples,
+    modulate,
+    sigma_from_ebn0,
+)
+from aesfec.codes import AesPadOracle, CodeParams, MembershipOracle, RlcOracle, aes_encode, rlc_generate
 from aesfec.grand import (
     DEFAULT_MAX_QUERIES,
     grand_decode,
+    guess,
     hamming_order_patterns,
     logistic_order_patterns,
     orbgrand_decode,
@@ -228,3 +241,175 @@ class TestOrbgrand:
         assert hard_decision(word.samples) == self.cw
         out = orbgrand_decode(word, self.oracle)
         assert out.message == self.m and out.queries == 1
+
+
+# Reference conversions from the pattern generators to flips.
+
+
+def hamming_masks_reference(words, n):
+    """Packed masks of Hamming-order pattern words (bit i flips position i)."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(v.to_bytes(nbytes, "little") for v in words)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes), axis=1, bitorder="little")
+    return np.packbits(bits[:, :n], axis=1)
+
+
+def rank_bits(rank_sets, n):
+    """(P, n) bits, column r - 1 set where a rank set holds rank r."""
+    bits = np.zeros((len(rank_sets), n), dtype=np.uint8)
+    for j, ranks in enumerate(rank_sets):
+        bits[j, np.array(ranks, dtype=int) - 1] = 1
+    return bits
+
+
+def logistic_flip_bits(ranked, perm):
+    # rank r flips position perm[r - 1]
+    flips = np.zeros_like(ranked)
+    flips[:, perm] = ranked
+    return flips
+
+
+@pytest.mark.parametrize("cache_bytes", [8 << 20, 0])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hamming_masks_match_reference(n, cache_bytes, monkeypatch):
+    # cache_bytes = 0 keeps no class whole, so every class is built
+    # piecewise from the one below it.
+    monkeypatch.setattr(grand, "_WEIGHT_CACHE_BYTES", cache_bytes)
+    masks = grand._HammingMasks(n)
+    want = hamming_masks_reference(hamming_order_patterns(n), n)
+    cuts = sorted({0, 1 << n, *np.random.default_rng(n).integers(0, 1 << n, 6).tolist()})
+    got = np.concatenate([masks.masks(a, b) for a, b in zip(cuts, cuts[1:])])
+    assert np.array_equal(got, want)
+    assert [masks.weight(j) for j in range(1 << n)] == [bin(v).count("1") for v in hamming_order_patterns(n)]
+
+
+def test_hamming_masks_n128_cross_from_kept_to_built_classes():
+    # Weights 0-3 are kept whole at n = 128; weight 4 is built piecewise.
+    n = 128
+    w3 = sum(comb(n, w) for w in range(4))
+    count = w3 + (1 << 16)
+    want = hamming_masks_reference(itertools.islice(hamming_order_patterns(n), count), n)
+    masks = grand._HammingMasks(n)
+    cuts = [0, 1, 129, 5000, w3 - 7, w3 + 9, w3 + 4000, count]
+    got = np.concatenate([masks.masks(a, b) for a, b in zip(cuts, cuts[1:])])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, count", [(1, 2), (4, 16), (9, 512), (12, 4096), (128, 3000)])
+def test_logistic_store_matches_reference(n, count):
+    # The store starts at 64 patterns and doubles, so n = 4 fits in its
+    # first growth.
+    store = grand._LogisticPatterns(n)
+    want = list(itertools.islice(logistic_order_patterns(n), count))
+    cuts = [c for c in (0, 1, 17, 100, 130, 700, 2500) if c < count] + [count]
+    got = []
+    lengths = []
+    for a, b in zip(cuts, cuts[1:]):
+        got += [tuple(int(r) for r in row if r) for row in store.ranks(a, b)]
+        lengths.append(len(store._ranks))
+    assert got == want
+    if count > 128:
+        assert len(set(lengths)) >= 3  # the store grew step by step
+    assert [store.weight(j) for j in range(count)] == [sum(p) for p in want]
+
+
+class SparseOracle(MembershipOracle):
+    """Accepts words whose byte sum is modulus - 1 (mod modulus); a
+    modulus above every byte sum accepts nothing. Defines only decode_batch."""
+
+    def __init__(self, params, modulus):
+        super().__init__(params)
+        self.modulus = modulus
+
+    def decode_batch(self, words):
+        return words.sum(axis=1, dtype=np.int64) % self.modulus == self.modulus - 1, words
+
+
+RLC_8_4 = CodeParams(8, 4)
+RLC_12_8 = CodeParams(12, 8)
+# name -> (oracle, budgets); the small codes' budgets exceed 2^n, so a
+# search that accepts nothing runs out of patterns.
+CORE_CASES = {
+    "aes": (AesPadOracle(PARAMS, Aes128(KEY)), (1, 2, 17, 300)),
+    "rlc": (RlcOracle(rlc_generate(PARAMS, 1)), (1, 2, 17, 300)),
+    "sparse": (SparseOracle(PARAMS, 61), (1, 2, 17, 300)),
+    "rlc8": (RlcOracle(rlc_generate(RLC_8_4, 3)), (300, 10**6)),
+    "rlc12": (RlcOracle(rlc_generate(RLC_12_8, 5)), (5000, 10**6)),
+    "none8": (SparseOracle(RLC_8_4, 10**6), (257, 10**6)),
+    "none12": (SparseOracle(RLC_12_8, 10**6), (4097, 10**6)),
+}
+
+
+def transmitted_bits(oracle, rng, rows):
+    params = oracle.params
+    if isinstance(oracle, SparseOracle):
+        return rng.integers(0, 2, size=(rows, params.n), dtype=np.uint8)
+    msgs = rng.integers(0, 2, size=(rows, params.k), dtype=np.uint8)
+    if isinstance(oracle, RlcOracle):
+        return oracle.code.encode_bits(msgs)
+    padded = np.zeros((rows, params.n), dtype=np.uint8)
+    padded[:, : params.k] = msgs
+    return np.unpackbits(oracle.cipher.encrypt_batch(np.packbits(padded, axis=1)), axis=1)
+
+
+def reference_search(oracle, word, flips):
+    """First accepted row of word ^ flips, by brute force: (found, block, queries)."""
+    ok, blocks = oracle.decode_batch(np.packbits(np.unpackbits(word)[: oracle.params.n] ^ flips, axis=1))
+    if not ok.any():
+        return False, None, len(flips)
+    idx = int(np.argmax(ok))
+    return True, blocks[idx], idx + 1
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["grand", "orbgrand"])
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+@settings(max_examples=12, deadline=None)
+@given(
+    ebn0=st.floats(3.0, 5.0),
+    budget_pick=st.integers(0, 3),
+    rows=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guess_batch_matches_one_row_decoders_and_reference(case, soft, ebn0, budget_pick, rows, seed):
+    oracle, budgets = CORE_CASES[case]
+    budget = budgets[budget_pick % len(budgets)]
+    params = oracle.params
+    rng = np.random.default_rng(seed)
+    sigma = sigma_from_ebn0(ebn0, params.rate)
+    y = awgn_samples(modulate(transmitted_bits(oracle, rng, rows)), sigma, rng)
+    llrs = llr_from_samples(y, sigma)
+    words = np.packbits(hard_bits(y), axis=1)
+    found, blocks, queries = guess(words, oracle, budget, np.abs(llrs) if soft else None)
+
+    space = min(budget, 1 << params.n)
+    if soft:
+        ranked = rank_bits(list(itertools.islice(logistic_order_patterns(params.n), space)), params.n)
+    else:
+        ref_flips = np.unpackbits(
+            hamming_masks_reference(itertools.islice(hamming_order_patterns(params.n), space), params.n), axis=1
+        )[:, : params.n]
+    for r in range(rows):
+        if soft:
+            out = orbgrand_decode(SoftWord(samples=y[r], llrs=llrs[r], sigma=sigma), oracle, budget)
+            perm = np.argsort(np.abs(llrs[r]), kind="stable")
+            ref = reference_search(oracle, words[r], logistic_flip_bits(ranked, perm))
+        else:
+            out = grand_decode(BitVec.from_bytes(words[r].tobytes(), params.n), oracle, budget)
+            ref = reference_search(oracle, words[r], ref_flips)
+        assert (bool(found[r]), int(queries[r])) == (ref[0], ref[2]) == (out.decoded, out.queries)
+        if found[r]:
+            assert np.array_equal(blocks[r], ref[1])
+            assert split(BitVec.from_bytes(blocks[r].tobytes(), params.n), params.k)[0] == out.message
+
+
+def test_guess_rejects_bad_input():
+    oracle = CORE_CASES["rlc"][0]
+    words = np.zeros((3, PARAMS.nbytes), dtype=np.uint8)
+    with pytest.raises(ValueError, match="max_queries"):
+        guess(words, oracle, 0)
+    with pytest.raises(ValueError, match="packed words"):
+        guess(words[:, :-1], oracle, 10)
+    with pytest.raises(ValueError, match="reliabilities"):
+        guess(words, oracle, 10, np.ones((3, PARAMS.n - 1)))
+    with pytest.raises(ValueError, match="max_queries"):
+        grand_decode(BitVec(0, PARAMS.n), oracle, max_queries=0)
