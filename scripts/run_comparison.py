@@ -2,7 +2,8 @@
 """Run the four-way code/decoder comparison and write results to disk.
 
 Produces one JSON + CSV pair per (code, decoder) combination plus a merged
-long-format CSV ready for plotting, all under --out-dir.
+long-format CSV ready for plotting, all under --out-dir. The merged CSV has
+the columns `aesfec plot-data` writes.
 
 Typical full run (budget 1e6, 100 block errors per point):
 
@@ -23,29 +24,27 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aesfec.campaign import CampaignConfig, run_campaign
-from aesfec.cli import parse_grid
+from aesfec.cli import _nonneg_int, _positive_int, parse_grid, plot_data_csv
 
 
 def build_args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", type=Path, required=True)
     ap.add_argument("--ebn0", type=parse_grid, default=parse_grid("6:0.5:8"))
-    ap.add_argument("--max-queries", type=int, default=10**6)
-    ap.add_argument("--min-block-errors", type=int, default=100)
-    ap.add_argument("--max-blocks", type=int, default=10**6)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rlc-seed", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--max-queries", type=_positive_int, default=10**6)
+    ap.add_argument("--min-block-errors", type=_positive_int, default=100)
+    ap.add_argument("--max-blocks", type=_positive_int, default=10**6)
+    ap.add_argument("--seed", type=_nonneg_int, default=1)
+    ap.add_argument("--rlc-seed", type=_nonneg_int, default=1)
+    ap.add_argument("--workers", type=_positive_int, default=1)
     return ap.parse_args()
 
 
 def main():
     args = build_args()
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    t0 = time.perf_counter()
-    for code, decoder in itertools.product(("aes", "rlc"), ("grand", "orbgrand")):
-        cfg = CampaignConfig(
+    # Every config is checked before the output directory is made.
+    configs = [
+        CampaignConfig(
             code_kind=code,
             decoder_kind=decoder,
             ebn0_grid_db=args.ebn0,
@@ -55,23 +54,22 @@ def main():
             master_seed=args.seed,
             rlc_seed=args.rlc_seed,
         )
-        print(f"== {code}/{decoder} ==", flush=True)
+        for code, decoder in itertools.product(("aes", "rlc"), ("grand", "orbgrand"))
+    ]
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    sources = []
+    t0 = time.perf_counter()
+    for cfg in configs:
+        print(f"== {cfg.code_kind}/{cfg.decoder_kind} ==", flush=True)
         res = run_campaign(cfg, workers=args.workers, progress=True)
-        stem = args.out_dir / f"{code}-{decoder}"
+        stem = args.out_dir / f"{cfg.code_kind}-{cfg.decoder_kind}"
         res.save(stem.with_suffix(".json"))
         stem.with_suffix(".csv").write_text(res.to_csv())
-        results[code, decoder] = res
+        sources.append((stem.with_suffix(".json"), res))
         print(f"   saved {stem}.json ({res.wall_time_s:.1f} s)", flush=True)
 
     merged = args.out_dir / "comparison.csv"
-    lines = ["code,decoder,ebn0_db,bler,bler_ci_low,bler_ci_high,ber,blocks"]
-    for (code, decoder), res in results.items():
-        for p in res.points:
-            lines.append(
-                f"{code},{decoder},{p.ebn0_db},{p.bler},{p.bler_ci_low},"
-                f"{p.bler_ci_high},{p.ber},{p.blocks}"
-            )
-    merged.write_text("\n".join(lines) + "\n")
+    merged.write_text(plot_data_csv(sources))
     print(f"merged table: {merged}")
     print(f"total {time.perf_counter() - t0:.1f} s")
 

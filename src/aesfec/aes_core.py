@@ -217,8 +217,8 @@ class Aes128:
             cipher = Cipher(algorithms.AES(key), modes.ECB())
             self._enc = cipher.encryptor()
             self._dec = cipher.decryptor()
-            ok = np.array_equal(encrypt_batch(self.schedule, _PROBE), self._openssl_encrypt(_PROBE)) and np.array_equal(
-                decrypt_batch(self.schedule, _PROBE), self._openssl_decrypt(_PROBE)
+            ok = np.array_equal(encrypt_batch(self.schedule, _PROBE), self._openssl(self._enc, _PROBE)) and np.array_equal(
+                decrypt_batch(self.schedule, _PROBE), self._openssl(self._dec, _PROBE)
             )
             if not ok:
                 raise RuntimeError("OpenSSL backend disagrees with reference AES")
@@ -227,22 +227,25 @@ class Aes128:
     def key(self):
         return self.schedule.key
 
-    def _openssl_encrypt(self, blocks):
-        out = self._enc.update(_as_block_batch(blocks).tobytes())
-        return np.frombuffer(out, dtype=np.uint8).reshape(-1, 16)
-
-    def _openssl_decrypt(self, blocks):
-        out = self._dec.update(_as_block_batch(blocks).tobytes())
-        return np.frombuffer(out, dtype=np.uint8).reshape(-1, 16)
+    @staticmethod
+    def _openssl(ctx, blocks):
+        blocks = np.ascontiguousarray(_as_block_batch(blocks))
+        # OpenSSL writes straight into a numpy array: update() returns bytes
+        # whose allocation slows sharply past about 2^14 blocks per call.
+        # update_into wants room for one block more than it writes, and the
+        # array is fresh on every call, so no result aliases a later one.
+        out = np.empty((len(blocks) + 1, BLOCK_BYTES), dtype=np.uint8)
+        ctx.update_into(blocks, out)
+        return out[: len(blocks)]
 
     def encrypt_batch(self, blocks):
         if self.backend == "openssl":
-            return self._openssl_encrypt(blocks)
+            return self._openssl(self._enc, blocks)
         return encrypt_batch(self.schedule, blocks)
 
     def decrypt_batch(self, blocks):
         if self.backend == "openssl":
-            return self._openssl_decrypt(blocks)
+            return self._openssl(self._dec, blocks)
         return decrypt_batch(self.schedule, blocks)
 
     def encrypt(self, pt):

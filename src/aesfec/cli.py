@@ -18,7 +18,7 @@ from .channel import sigma_from_ebn0
 from .codes import CodeParams, RlcOracle, rlc_generate
 from .grand import grand_decode, hamming_order_patterns, logistic_order_patterns
 
-__all__ = ["main", "parse_grid"]
+__all__ = ["main", "parse_grid", "plot_data_csv"]
 
 
 def parse_grid(text):
@@ -161,12 +161,13 @@ def _print_table(result):
         )
 
 
-def _cmd_plot_data(args):
+def plot_data_csv(sources):
+    """Long-format CSV of (source path, CampaignResult) pairs: one row per
+    grid point, headed by one provenance comment per campaign."""
     header = ["code", "decoder", "n", "k", "master_seed"] + list(CampaignResult.CSV_FIELDS)
     lines = []
     comments = []
-    for path in args.inputs:
-        res = CampaignResult.load(path)
+    for path, res in sources:
         cfg = res.config
         comments.append(f"# source={path} code={cfg.code_kind} decoder={cfg.decoder_kind} "
                         f"n={cfg.n} k={cfg.k} seed={cfg.master_seed}")
@@ -175,9 +176,14 @@ def _cmd_plot_data(args):
             row = [cfg.code_kind, cfg.decoder_kind, cfg.n, cfg.k, cfg.master_seed]
             row += [d[f] for f in CampaignResult.CSV_FIELDS]
             lines.append(",".join("" if v is None else str(v) for v in row))
-    out_text = "\n".join(comments + [",".join(header)] + lines) + "\n"
-    args.out.write_text(out_text)
-    print(f"wrote {args.out} ({len(lines)} rows from {len(args.inputs)} campaigns)")
+    return "\n".join(comments + [",".join(header)] + lines) + "\n"
+
+
+def _cmd_plot_data(args):
+    sources = [(path, CampaignResult.load(path)) for path in args.inputs]
+    args.out.write_text(plot_data_csv(sources))
+    rows = sum(len(res.points) for _, res in sources)
+    print(f"wrote {args.out} ({rows} rows from {len(sources)} campaigns)")
     return 0
 
 

@@ -15,11 +15,26 @@ encode: the syndrome of the zero-padded message [m | 0] is the parity m P.
 
 Oracles work on batches of packed words, one row of ceil(n/8) bytes per
 word, bit position p at byte p >> 3, mask 0x80 >> (p & 7). That layout is
-what np.packbits produces and what the guessing decoders XOR patterns into.
+what np.packbits produces.
+
+The guessing decoders do not hand an oracle ready-made candidate words.
+They work on images: an oracle maps words to rows of bytes by a map that
+is linear over GF(2), image(y ^ e) = image(y) ^ image(e), and accepts or
+rejects an image. A candidate's image is then the received word's image
+XORed with the images of the positions its pattern flips, and the oracle
+tests it without the candidate word ever being built. By default the image
+of a word is the word itself and acceptance is decode_batch, so an oracle
+that defines only decode_batch (the AES oracle among them) is asked about
+exactly the words it was always asked about. The RLC oracle's image is the
+syndrome, n - k bits packed into lanes, and it accepts an image iff it is
+zero: the same answer decode_batch gives for the word, because the
+syndrome of y ^ e is s(y) ^ s(e) exactly. Candidate tests thus cost a
+2-byte XOR and compare at [128, 116] instead of one table lookup per byte.
 """
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -39,6 +54,7 @@ __all__ = [
     "rlc_encode",
     "message_bit_mask",
     "pad_bit_mask",
+    "one_bit_masks",
 ]
 
 
@@ -82,12 +98,26 @@ def pad_bit_mask(params):
     return _position_mask(params, np.arange(params.k, params.n))
 
 
+@functools.cache
+def one_bit_masks(n):
+    """(n, ceil(n/8)) packed words, read-only; row p flips position p."""
+    masks = np.packbits(np.eye(n, dtype=np.uint8), axis=1)
+    masks.setflags(write=False)
+    return masks
+
+
 class MembershipOracle(ABC):
     """Answers whether a hard-decision word is a codeword, and for which message.
 
     decode_batch is the vectorized core; everything else is sugar on top of
     it. Decoded blocks are returned for every row but are only meaningful
     where the acceptance mask is True.
+
+    image_columns, images and accept_images are what the guessing decoders
+    test candidates through (see the module docstring). The defaults make
+    the image of a word the word itself; a subclass that overrides them must
+    keep the image map linear and accept_images(images(w)) equal to
+    decode_batch(w)[0].
     """
 
     def __init__(self, params):
@@ -96,6 +126,18 @@ class MembershipOracle(ABC):
     @abstractmethod
     def decode_batch(self, words):
         """(B, nbytes) packed words -> (accept mask (B,), decoded blocks (B, nbytes))."""
+
+    def image_columns(self):
+        """(n, w) uint8: row p is the image of the word that flips only position p."""
+        return one_bit_masks(self.params.n)
+
+    def images(self, words):
+        """(B, nbytes) packed words -> (B, w) uint8 images."""
+        return words
+
+    def accept_images(self, images):
+        """(B, w) images -> (B,) bool, True where the word imaged is a codeword."""
+        return self.decode_batch(images)[0]
 
     def accept_mask(self, words):
         return self.decode_batch(words)[0]
@@ -123,8 +165,10 @@ class AesPadOracle(MembershipOracle):
     """Membership test for the AES code: decrypt, accept iff padding is zero.
 
     One oracle query costs exactly one AES decryption; the plaintext from
-    that same decryption is the decoded block, so accepted rows are never
-    decrypted twice.
+    that same decryption is the decoded block. The pad check reads each
+    plaintext as two uint64 lanes and ANDs only the lanes the pad mask
+    touches (lane 0 holds positions 0-63, lane 1 positions 64-127), which is
+    exact for every k because both sides are viewed the same way.
     """
 
     def __init__(self, params, cipher):
@@ -134,11 +178,13 @@ class AesPadOracle(MembershipOracle):
         if isinstance(cipher, (bytes, str)):
             cipher = Aes128(cipher)
         self.cipher = cipher
-        self._pad_mask = pad_bit_mask(params)
+        # The pad is positions k..127, so it touches the lanes from k // 64 on.
+        self._pad_lanes = slice(params.k // 64, 2)
+        self._pad_mask = pad_bit_mask(params).view(np.uint64)[self._pad_lanes]
 
     def decode_batch(self, words):
         pt = self.cipher.decrypt_batch(words)
-        ok = ~np.any(pt & self._pad_mask, axis=1)
+        ok = ~np.any(pt.view(np.uint64)[:, self._pad_lanes] & self._pad_mask, axis=1)
         return ok, pt
 
 
@@ -262,7 +308,11 @@ def rlc_encode(m, code):
 
 
 class RlcOracle(MembershipOracle):
-    """Syndrome check H y^T = 0 on packed words via the code's byte tables."""
+    """Syndrome check H y^T = 0 on packed words via the code's byte tables.
+
+    A word's image is its syndrome as bytes (RlcCode.syndromes viewed as
+    uint8), and an image is accepted iff it is zero.
+    """
 
     def __init__(self, code):
         super().__init__(code.params)
@@ -273,12 +323,25 @@ class RlcOracle(MembershipOracle):
             # Decoded blocks carry zeros in the unused trailing bits of the
             # last byte; the syndrome ignores those bits anyway.
             self._word_mask = _position_mask(self.params, np.arange(self.params.n))
+        # Images are tested a lane at a time, not a byte at a time.
+        self._lane = code._tables[0].dtype
+        self._columns = self.images(one_bit_masks(self.params.n))
+        self._columns.setflags(write=False)
 
     def decode_batch(self, words):
         words = np.asarray(words, dtype=np.uint8)
         if words.ndim != 2 or words.shape[1] != self.params.nbytes:
             raise ValueError(f"expected (B, {self.params.nbytes}) packed words, got shape {words.shape}")
-        ok = ~self.code.syndromes(words).any(axis=1)
+        ok = self.accept_images(self.images(words))
         if self._word_mask is not None:
             words = words & self._word_mask
         return ok, words
+
+    def image_columns(self):
+        return self._columns
+
+    def images(self, words):
+        return self.code.syndromes(words).view(np.uint8)
+
+    def accept_images(self, images):
+        return ~np.ascontiguousarray(images).view(self._lane).any(axis=1)

@@ -109,3 +109,37 @@ def test_single_byte_batches_and_empty():
     c = Aes128(KAT_KEY)
     out = c.encrypt_batch(np.zeros((0, 16), dtype=np.uint8))
     assert out.shape == (0, 16)
+
+
+def _layouts(blocks):
+    """The same rows as a C array, a strided row view, a Fortran array and a column slice."""
+    spaced = np.repeat(blocks, 2, axis=0)[::2]
+    wide = np.zeros((len(blocks), 19), dtype=np.uint8)
+    wide[:, 1:17] = blocks
+    return [blocks, spaced, np.asfortranarray(blocks), wide[:, 1:17]]
+
+
+@pytest.mark.parametrize("size", [0, 1, 4096, 16385])
+def test_openssl_batches_match_reference_at_every_size(size):
+    # 16385 blocks crosses the size at which bytes-returning OpenSSL calls
+    # slowed down; the numpy reference is the ground truth at every size.
+    rng = np.random.default_rng(size)
+    blocks = rng.integers(0, 256, size=(size, 16), dtype=np.uint8)
+    ks = expand_key(KAT_KEY)
+    fast = Aes128(KAT_KEY)
+    want_ct, want_pt = encrypt_batch(ks, blocks), decrypt_batch(ks, blocks)
+    for layout in _layouts(blocks):
+        ct, pt = fast.encrypt_batch(layout), fast.decrypt_batch(layout)
+        assert ct.shape == pt.shape == (size, 16)
+        assert np.array_equal(ct, want_ct) and np.array_equal(pt, want_pt)
+
+
+def test_openssl_results_are_fresh_arrays():
+    c = Aes128(KAT_KEY)
+    blocks = np.random.default_rng(9).integers(0, 256, size=(64, 16), dtype=np.uint8)
+    for fn in (c.encrypt_batch, c.decrypt_batch):
+        first = fn(blocks)
+        kept = first.copy()
+        second = fn(blocks[::-1])
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)

@@ -1,7 +1,11 @@
 """Monte Carlo campaign engine: addressing, stopping, serialization."""
 
+import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +230,30 @@ class TestPairing:
         assert g.blocks == o.blocks == 64
         assert g.block_errors == o.block_errors == 0
         assert g.mean_queries == o.mean_queries == 1.0
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """perfbench/run.py imported by path (it puts its directory on sys.path
+    to import workloads.py; the path is restored afterwards)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+@pytest.mark.parametrize("workload", ["tail", "deep"])
+def test_benchmark_campaigns_match_recorded_hashes(perfbench_run, workload):
+    # The campaigns are a pure function of their configs, so a change that
+    # alters what is simulated (a query count, an accepted block, a budget
+    # cut) changes a hash recorded for the benchmark.
+    with open(perfbench_run.RECORD) as f:
+        expected = json.load(f)["expected_sha256"]
+    for label, cfg in perfbench_run.workloads.campaigns(workload, 1):
+        got = hashlib.sha256(run_campaign(CampaignConfig(**cfg)).canonical_json().encode()).hexdigest()
+        assert got == expected[perfbench_run.config_key(cfg)], f"{workload} {label}"

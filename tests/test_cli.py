@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +157,34 @@ def test_selftest_passes(capsys):
     assert rc in (0, None), out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
+
+
+@pytest.mark.parametrize("flag, value", [("--max-queries", "0"), ("--workers", "0"), ("--seed", "-1"), ("--max-blocks", "x")])
+def test_run_comparison_rejects_bad_flags_before_output(tmp_path, flag, value):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--out-dir", str(out), flag, value],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert flag in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_run_comparison_merges_with_plot_data_columns(tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--out-dir", str(out), "--ebn0", "8", "--min-block-errors", "1", "--max-blocks", "256"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    jsons = [out / f"{c}-{d}.json" for c in ("aes", "rlc") for d in ("grand", "orbgrand")]
+    assert main(["plot-data", *map(str, jsons), "--out", str(tmp_path / "plot.csv")]) == 0
+    assert (out / "comparison.csv").read_text() == (tmp_path / "plot.csv").read_text()

@@ -101,6 +101,35 @@ class TestAesCode:
         with pytest.raises(ValueError):
             AesPadOracle(CodeParams(n=64, k=52), self.cipher)
 
+    def test_successive_results_do_not_share_memory(self):
+        words = np.random.default_rng(8).integers(0, 256, size=(32, 16), dtype=np.uint8)
+        ok1, pt1 = self.oracle.decode_batch(words)
+        ok2, pt2 = self.oracle.decode_batch(words[::-1])
+        assert not np.shares_memory(pt1, pt2) and not np.shares_memory(ok1, ok2)
+        assert np.array_equal(pt1, pt2[::-1])
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 116, 127, 128])
+def test_aes_lane_pad_check_matches_bytewise_reference(k):
+    params = CodeParams(n=128, k=k)
+    cipher = Aes128("000102030405060708090a0b0c0d0e0f")
+    oracle = AesPadOracle(params, cipher)
+    rng = np.random.default_rng(k)
+    mask = pad_bit_mask(params)
+    pt = rng.integers(0, 256, size=(600, 16), dtype=np.uint8)
+    # Rows 0-199 keep random pads, rows 200-399 get a zero pad and rows
+    # 400-599 a zero pad but for one bit, which runs over every pad position.
+    pt[200:] &= ~mask
+    pad_positions = np.flatnonzero(np.unpackbits(mask))
+    if pad_positions.size:
+        for row, pos in zip(range(400, 600), np.resize(pad_positions, 200)):
+            pt[row, pos >> 3] |= 0x80 >> (pos & 7)
+    ok, got = oracle.decode_batch(cipher.encrypt_batch(pt))
+    assert np.array_equal(got, pt)
+    assert np.array_equal(ok, ~np.any(pt & mask, axis=1))
+    assert ok[200:400].all()
+    assert ok[400:].all() if k == 128 else not ok[400:].any()
+
 
 class TestRlc:
     def setup_method(self):
@@ -227,6 +256,53 @@ def test_rlc_tables_match_matrix_reference(geometry, seed, batch, flip_rate):
         ok, decoded = oracle.decode_batch(layout)
         assert np.array_equal(ok, want)
         assert np.array_equal(decoded, np.packbits(bits, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GEOMETRIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.floats(0.0, 0.5),
+)
+def test_rlc_images_are_the_linear_syndrome_map(geometry, seed, batch, flip_rate):
+    n, k = geometry
+    code = rlc_generate(CodeParams(n=n, k=k), seed=seed)
+    oracle = RlcOracle(code)
+    h = code.parity_check_matrix.astype(np.int64)
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+    e = (rng.random((batch, n)) < flip_rate).astype(np.uint8)
+
+    def image(bits):
+        return oracle.images(np.packbits(bits, axis=1))
+
+    def syndrome_bytes(bits):
+        # (bits @ H^T) % 2, packed like the image, zero bits past n - k.
+        syn = (bits.astype(np.int64) @ h.T) % 2
+        return np.packbits(syn.astype(np.uint8), axis=1) if n > k else np.zeros((len(bits), 0), np.uint8)
+
+    columns = oracle.image_columns()
+    width = columns.shape[1]
+    assert columns.shape == (n, width) and columns.dtype == np.uint8
+    # Codewords and the one-bit words too: a parity flip past row 64 leaves
+    # the first lane of the syndrome zero.
+    codewords = code.encode_bits(rng.integers(0, 2, size=(batch, k), dtype=np.uint8))
+    for bits in (y, e, y ^ e, codewords, np.eye(n, dtype=np.uint8)):
+        img = image(bits)
+        assert img.shape == (len(bits), width) and img.dtype == np.uint8
+        want = syndrome_bytes(bits)
+        assert np.array_equal(img[:, : want.shape[1]], want)
+        assert not img[:, want.shape[1] :].any()
+        assert np.array_equal(oracle.accept_images(img), ~want.any(axis=1))
+    # Linear: image(y ^ e) = image(y) ^ image(e), and image(e) is the XOR of
+    # the column images of e's bits.
+    assert np.array_equal(image(y ^ e), image(y) ^ image(e))
+    xor_of_columns = np.zeros((batch, width), dtype=np.uint8)
+    for r in range(batch):
+        for p in np.flatnonzero(e[r]):
+            xor_of_columns[r] ^= columns[p]
+    assert np.array_equal(image(e), xor_of_columns)
 
 
 def test_rlc_rejects_misshapen_inputs():
