@@ -173,6 +173,14 @@ class _PointContext:
             self.oracle = RlcOracle(self.code)
         self.msg_mask = message_bit_mask(self.params)
         self.abandon_bit_errors = (self.params.k + 1) // 2
+        # Channel buffers, reused by every batch (a partial last batch uses
+        # their first rows): transients this size would each be mapped and
+        # unmapped by the allocator, a page fault per 4 KiB touched.
+        shape = (TRIAL_BATCH, self.params.n)
+        self._x = np.empty(shape)
+        self._y = np.empty(shape)
+        self._rel = np.empty(shape)
+        self._bits = np.empty(shape, dtype=np.uint8)
 
     def encode(self, msgs):
         """(B, k) message bits -> (codeword bits, reference blocks).
@@ -194,12 +202,15 @@ class _PointContext:
         msgs = mrng.integers(0, 2, size=(size, self.params.k), dtype=np.uint8)
         nrng = np.random.default_rng((cfg.master_seed, self.point_index, batch_index, 1))
         cw_bits, ref = self.encode(msgs)
-        y = awgn_samples(modulate(cw_bits), self.sigma, nrng)
+        x = modulate(cw_bits, out=self._x[:size])
+        y = awgn_samples(x, self.sigma, nrng, out=self._y[:size])
 
         reliability = None
         if cfg.decoder_kind == "orbgrand":
-            reliability = np.abs(llr_from_samples(y, self.sigma))
-        found, blocks, queries = guess(np.packbits(hard_bits(y), axis=1), self.oracle, cfg.max_queries, reliability)
+            rel = self._rel[:size]
+            reliability = np.abs(llr_from_samples(y, self.sigma, out=rel), out=rel)
+        words = np.packbits(hard_bits(y, out=self._bits[:size]), axis=1)
+        found, blocks, queries = guess(words, self.oracle, cfg.max_queries, reliability)
         bit_errors = np.bitwise_count((blocks ^ ref) & self.msg_mask).sum(axis=1, dtype=np.int64)
         bit_errors[~found] = self.abandon_bit_errors
         return bit_errors > 0, bit_errors, queries, ~found
@@ -234,23 +245,24 @@ def run_block(config, point_index, trial_index):
     )
 
 
-# Pool worker state: the config once per pool, contexts per grid point.
+# Pool worker state: the config once per pool, and the context of the
+# grid point last worked on (points run one after another).
 _WORKER_CONFIG = None
-_WORKER_CTX = {}
+_WORKER_CTX = None
 
 
 def _pool_init(config_dict):
     global _WORKER_CONFIG, _WORKER_CTX
     _WORKER_CONFIG = CampaignConfig.from_dict(config_dict)
-    _WORKER_CTX = {}
+    _WORKER_CTX = None
 
 
 def _pool_batch(task):
+    global _WORKER_CTX
     point_index, batch_index = task
-    ctx = _WORKER_CTX.get(point_index)
-    if ctx is None:
-        ctx = _WORKER_CTX[point_index] = _PointContext(_WORKER_CONFIG, point_index)
-    return ctx.run_batch(batch_index, _batch_size(_WORKER_CONFIG, batch_index))
+    if _WORKER_CTX is None or _WORKER_CTX.point_index != point_index:
+        _WORKER_CTX = _PointContext(_WORKER_CONFIG, point_index)
+    return _WORKER_CTX.run_batch(batch_index, _batch_size(_WORKER_CONFIG, batch_index))
 
 
 def _iter_batches(config, point_index, pool, workers):
@@ -326,8 +338,28 @@ def run_point(config, point_index, workers=1, pool=None):
         ber_ci_high=ber_hi,
         bler_rule_of_three_upper=(3.0 / blocks if block_errors == 0 else None),
         mean_queries=float(queries.mean()),
-        p99_queries=float(np.percentile(queries, 99)),
+        p99_queries=_p99(queries),
     )
+
+
+def _p99(values):
+    """float(np.percentile(values, 99)) for a nonempty integer array.
+
+    numpy's linear method, written out: the 99th percentile sits at index
+    h = 0.99 (n - 1) of the sorted values; with a and b the values at
+    floor(h) and the next index (the last, at most) and g = h - floor(h),
+    it is a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5. The same
+    float operations give the same bits, and a partition at the two
+    indices replaces np.percentile's one, whose np.unique imports
+    numpy.ma on first use.
+    """
+    h = (len(values) - 1) * 0.99
+    lo = math.floor(h)
+    hi = min(lo + 1, len(values) - 1)
+    part = np.partition(values, (lo, hi))
+    a, b = int(part[lo]), int(part[hi])
+    g = h - lo
+    return float(a + (b - a) * g) if g < 0.5 else float(b - (b - a) * (1 - g))
 
 
 @dataclass

@@ -74,23 +74,39 @@ class SoftWord:
         return self.samples.shape[-1]
 
 
-def modulate(bits):
-    """Antipodal map bit -> 1 - 2*bit. Accepts a BitVec or a 0/1 array."""
+def modulate(bits, out=None):
+    """Antipodal map bit -> 1 - 2*bit. Accepts a BitVec or a 0/1 array.
+
+    out, a float64 array of the bits' shape, receives the samples.
+    """
     if isinstance(bits, BitVec):
         bits = bits.to_array()
-    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+    # -2 bit + 1 is 1 - 2 bit exactly, and needs no temporary.
+    x = np.multiply(bits, -2.0, out=out, dtype=np.float64)
+    x += 1.0
+    return x
 
 
-def awgn_samples(x, sigma, rng):
-    """x plus i.i.d. N(0, sigma^2) noise, any shape."""
+def awgn_samples(x, sigma, rng, out=None):
+    """x plus i.i.d. N(0, sigma^2) noise, any shape.
+
+    out, a C-contiguous float64 array of x's shape that does not overlap
+    x, receives the samples: the noise is drawn into it, then scaled and
+    shifted in place, the same products and sums as x + sigma * noise.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
-    return x + sigma * rng.standard_normal(x.shape)
+    y = rng.standard_normal(x.shape, out=out)
+    y *= sigma
+    y += x
+    return y
 
 
-def llr_from_samples(samples, sigma):
-    return (2.0 / sigma**2) * np.asarray(samples, dtype=np.float64)
+def llr_from_samples(samples, sigma, out=None):
+    """LLRs 2 y / sigma^2 of channel samples; out, a float64 array of the
+    samples' shape (the samples themselves included), receives them."""
+    return np.multiply(np.asarray(samples, dtype=np.float64), 2.0 / sigma**2, out=out)
 
 
 def add_awgn(x, sigma, rng):
@@ -99,9 +115,12 @@ def add_awgn(x, sigma, rng):
     return SoftWord(samples=y, llrs=llr_from_samples(y, sigma), sigma=sigma)
 
 
-def hard_bits(samples):
-    """Per-sample hard decisions as a uint8 array (ties resolve to bit 0)."""
-    return (np.asarray(samples) < 0).astype(np.uint8)
+def hard_bits(samples, out=None):
+    """Per-sample hard decisions as a uint8 array (ties resolve to bit 0).
+
+    out, a uint8 array of the samples' shape, receives the bits.
+    """
+    return np.less(samples, 0, out=out).view(np.uint8)
 
 
 def hard_decision(word):

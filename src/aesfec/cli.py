@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -179,9 +180,27 @@ def plot_data_csv(sources):
     return "\n".join(comments + [",".join(header)] + lines) + "\n"
 
 
+def _input_error(path, reason):
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _cmd_plot_data(args):
-    sources = [(path, CampaignResult.load(path)) for path in args.inputs]
-    args.out.write_text(plot_data_csv(sources))
+    # Every input is read and checked before the CSV is written.
+    sources = []
+    for path in args.inputs:
+        try:
+            sources.append((path, CampaignResult.from_json(path.read_text())))
+        except OSError as e:
+            return _input_error(path, e.strerror or e)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            return _input_error(path, f"not a JSON file ({e})")
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            return _input_error(path, f"not a campaign result ({type(e).__name__}: {e})")
+    try:
+        args.out.write_text(plot_data_csv(sources))
+    except OSError as e:
+        return _input_error(args.out, e.strerror or e)
     rows = sum(len(res.points) for _, res in sources)
     print(f"wrote {args.out} ({rows} rows from {len(sources)} campaigns)")
     return 0

@@ -35,7 +35,10 @@ XORed with the images of the positions e flips, the oracle's
 image_columns. GRAND XORs the shared Hamming-order pattern images onto
 each row's image; ORBGRAND XORs, for each rank in a pattern, the column
 image of the position that rank names in that row, gathered through the
-row's own stable argsort of |LLR|. Acceptance of an image is acceptance of
+row's own stable ranking of |LLR|. A row is ranked only as far as the
+patterns reach: ranks 1 .. R with R at least 8 and at least doubled
+whenever a step names a rank above R, each prefix exactly that of the full
+stable argsort (_least_reliable). Acceptance of an image is acceptance of
 the word it images, so the queries counted, the blocks accepted and the
 budget cut are those of a search over words. Only for a row that hits is
 the word y ^ e built (from the one-bit masks), and decode_batch returns its
@@ -244,7 +247,9 @@ class _LogisticPatterns:
     Pattern j is row j of a uint16 array: its ranks ascending, padded with
     zeros, so a row's sum is its rank sum. The store is built with numpy,
     one rank sum at a time, and at least doubles whenever a search reaches
-    past its end.
+    past its end; each growth writes one new array. The sets of m ranks
+    with sum w are memoised per (w, m) and built in one array from the
+    sets of m - 1 ranks: their first ranks repeated, then one add.
     """
 
     def __init__(self, n):
@@ -273,8 +278,12 @@ class _LogisticPatterns:
                 parts.append(self._distinct(self._sum, m))
                 have += len(parts[-1])
                 m += 1
-        width = max(p.shape[1] for p in parts)
-        self._ranks = np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1]))) for p in parts])
+        ranks = np.zeros((have, max(p.shape[1] for p in parts)), dtype=np.uint16)
+        row = 0
+        for p in parts:
+            ranks[row : row + len(p), : p.shape[1]] = p
+            row += len(p)
+        self._ranks = ranks
 
     def _distinct(self, w, m):
         """(count, m) sets of m distinct ranks in 1..n summing to w, in
@@ -285,13 +294,19 @@ class _LogisticPatterns:
             else:
                 # With first rank a, the other m - 1 ranks, each minus a,
                 # are a set summing to w - m a whose largest rank is n - a
-                # at most.
-                pieces = [np.zeros((0, m), dtype=np.uint16)]
+                # at most. That bound can only bite where such a set may
+                # reach past it: its largest rank is at most its sum less
+                # 1 + 2 + ... + (m - 2).
+                firsts, rests = [], []
                 for a in range(1, (w - m * (m - 1) // 2) // m + 1):
                     rest = self._distinct(w - m * a, m - 1)
-                    rest = rest[rest[:, -1] <= self.n - a]
-                    pieces.append(np.hstack([np.full((len(rest), 1), a, dtype=np.uint16), rest + a]))
-                sets = np.concatenate(pieces)
+                    if w - m * a - (m - 1) * (m - 2) // 2 > self.n - a:
+                        rest = rest[rest[:, -1] <= self.n - a]
+                    firsts.append(a)
+                    rests.append(rest)
+                sets = np.empty((sum(len(r) for r in rests), m), dtype=np.uint16)
+                sets[:, 0] = np.repeat(firsts, [len(r) for r in rests])
+                np.add(np.concatenate(rests), sets[:, :1], out=sets[:, 1:])
             self._sets[w, m] = sets
         return self._sets[w, m]
 
@@ -323,6 +338,28 @@ def _xor_outer(patterns, rows):
     for j in range(p.shape[1]):
         np.bitwise_xor(p[:, j, None], y[:, j], out=out[:, :, j])
     return out.view(np.uint8)
+
+
+def _least_reliable(rel, count):
+    """Positions of the count smallest entries of each row of rel, in
+    stable order: exactly np.argsort(rel, axis=1, kind="stable")[:, :count].
+
+    argpartition finds each row's count smallest entries; sorted by
+    position and then stably by value, they come out in (value, position)
+    order. That is the full sort's prefix unless the count-th smallest
+    value also sits outside the partition: such a row, tied at the
+    boundary, is sorted in full, and so is every row once count >= n / 2.
+    """
+    if 2 * count >= rel.shape[1]:
+        return np.argsort(rel, axis=1, kind="stable")[:, :count]
+    part = np.argpartition(rel, count - 1, axis=1)[:, :count]
+    part.sort(axis=1)
+    vals = np.take_along_axis(rel, part, axis=1)
+    out = np.take_along_axis(part, vals.argsort(axis=1, kind="stable"), axis=1)
+    tied = np.count_nonzero(rel <= vals.max(axis=1, keepdims=True), axis=1) > count
+    if tied.any():
+        out[tied] = np.argsort(rel[tied], axis=1, kind="stable")[:, :count]
+    return out
 
 
 def _with_zero_row(columns):
@@ -362,14 +399,9 @@ def guess(words, oracle, max_queries, reliability=None):
         pattern_words = _hamming_masks(one_bit_masks(n))
     else:
         store = _logistic_patterns(n)
-        # order[a, r] is 1 + the position that rank r names in row a, and 0
-        # for rank 0 (padding): an index into columns below a zero row.
-        order = np.zeros((len(active), n + 1), dtype=np.intp)
-        order[:, 1:] = 1 + np.argsort(np.asarray(reliability).take(active, axis=0), axis=1, kind="stable")
-        # (n + 1, rows, w): entry r, a is the image of what rank r flips in
-        # row a. take and compress here measured 5-10x faster than the same
-        # fancy indexing.
-        rank_images = _with_zero_row(columns).take(order.T, axis=0)
+        rel = np.asarray(reliability).take(active, axis=0)
+        ranked = 0  # ranks 1 .. ranked are resolved in every row
+        rank_columns = _with_zero_row(columns)
         rank_words = _with_zero_row(one_bit_masks(n))
     space = min(max_queries, 1 << n)
     i, c = 1, _FIRST_STEP
@@ -380,6 +412,20 @@ def guess(words, oracle, max_queries, reliability=None):
             cand = _xor_outer(pattern_images.masks(i, i + c), image)
         else:
             ranks = store.ranks(i, i + c)
+            need = int(ranks.max(initial=0))
+            if need > ranked:
+                # Rank at least 8 and at least double, so that a long
+                # search re-ranks its rows a few times only.
+                ranked = min(n, max(need, 2 * ranked, 8))
+                # order[a, r] is 1 + the position that rank r names in row
+                # a, and 0 for rank 0 (padding): an index into columns
+                # below a zero row.
+                order = np.zeros((len(rel), ranked + 1), dtype=np.intp)
+                order[:, 1:] = 1 + _least_reliable(rel, ranked)
+                # (ranked + 1, rows, w): entry r, a is the image of what
+                # rank r flips in row a. take and compress here measured
+                # 5-10x faster than the same fancy indexing.
+                rank_images = rank_columns.take(order.T, axis=0)
             cand = image ^ rank_images.take(ranks[:, 0], axis=0)
             for col in ranks.T[1:]:
                 cand ^= rank_images.take(col, axis=0)
@@ -400,7 +446,7 @@ def guess(words, oracle, max_queries, reliability=None):
             keep = ~hit
             active, y, image = active[keep], y[keep], image[keep]
             if reliability is not None:
-                order, rank_images = order[keep], rank_images.compress(keep, axis=1)
+                order, rank_images, rel = order[keep], rank_images.compress(keep, axis=1), rel[keep]
         i += c
         c *= _GROWTH
     queries[active] = i

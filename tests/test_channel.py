@@ -11,6 +11,7 @@ from aesfec.bitblock import BitVec
 from aesfec.channel import (
     ChannelPoint,
     add_awgn,
+    awgn_samples,
     hard_bits,
     hard_decision,
     llr_from_samples,
@@ -111,3 +112,32 @@ def test_flip_rate_tracks_gaussian_tail(db):
 def test_noiseless_hard_decision_recovers_bits(bits):
     v = BitVec.from_bits(bits)
     assert hard_decision(modulate(v)) == v
+
+
+@given(
+    rows=st.integers(1, 9),
+    n=st.integers(1, 130),
+    ebn0=st.floats(-2.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_into_buffers_matches_textbook_formulas(rows, n, ebn0, seed):
+    # The out= forms reorder nothing that changes a bit: the same products
+    # and sums as the formulas, written into the caller's arrays.
+    sigma = sigma_from_ebn0(ebn0, RATE)
+    bits = np.random.default_rng(seed).integers(0, 2, size=(rows, n), dtype=np.uint8)
+    x_want = 1.0 - 2.0 * bits.astype(np.float64)
+    y_want = x_want + sigma * np.random.default_rng(seed + 1).standard_normal((rows, n))
+    bufs = np.full((3, rows + 2, n), np.nan)
+    x = modulate(bits, out=bufs[0, :rows])
+    y = awgn_samples(x, sigma, np.random.default_rng(seed + 1), out=bufs[1, :rows])
+    llr = llr_from_samples(y, sigma, out=bufs[2, :rows])
+    hard = hard_bits(y, out=np.empty((rows, n), dtype=np.uint8))
+    for got, want, buf in ((x, x_want, bufs[0]), (y, y_want, bufs[1]), (llr, (2.0 / sigma**2) * y_want, bufs[2])):
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, buf)
+        assert np.isnan(buf[rows:]).all()
+    assert np.array_equal(hard, (y_want < 0).astype(np.uint8))
+    # Without out=, the same values in fresh arrays.
+    assert modulate(bits).tobytes() == x_want.tobytes()
+    assert awgn_samples(x_want, sigma, np.random.default_rng(seed + 1)).tobytes() == y_want.tobytes()
+    assert hard_bits(y_want).dtype == np.uint8

@@ -188,3 +188,45 @@ def test_run_comparison_merges_with_plot_data_columns(tmp_path):
     jsons = [out / f"{c}-{d}.json" for c in ("aes", "rlc") for d in ("grand", "orbgrand")]
     assert main(["plot-data", *map(str, jsons), "--out", str(tmp_path / "plot.csv")]) == 0
     assert (out / "comparison.csv").read_text() == (tmp_path / "plot.csv").read_text()
+
+
+@pytest.fixture(scope="module")
+def campaign_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("plot") / "aes-grand.json"
+    argv = ["run", "--ebn0", "8", "--min-block-errors", "1", "--max-blocks", "256", "--out", str(path), "--quiet"]
+    assert main(argv) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "No such file or directory"),
+        ("points: 1\n", "not a JSON file"),
+        (b"\xff\xfe\x00", "not a JSON file"),
+        ("[1, 2]", "not a campaign result"),
+        ('{"points": []}', "not a campaign result (KeyError: 'config')"),
+        ('{"config": {"code_kind": "hamming"}, "points": []}', "not a campaign result (ValueError: code_kind"),
+        ('{"config": {}, "points": [{"blocks": 1}]}', "not a campaign result (TypeError"),
+    ],
+    ids=["missing", "text", "binary", "list", "no-config", "bad-config", "bad-point"],
+)
+def test_plot_data_rejects_bad_input_before_writing(tmp_path, capsys, campaign_json, content, reason):
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    out = tmp_path / "merged.csv"
+    # The good input comes first: nothing may be written before the bad one is read.
+    assert main(["plot-data", str(campaign_json), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and reason in err
+    assert not out.exists()
+
+
+def test_plot_data_rejects_missing_output_directory(tmp_path, capsys, campaign_json):
+    out = tmp_path / "no" / "such" / "merged.csv"
+    assert main(["plot-data", str(campaign_json), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+    assert not out.parent.exists()

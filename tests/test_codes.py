@@ -337,7 +337,7 @@ def test_pool_worker_builds_tables_once_per_point(monkeypatch):
     monkeypatch.setattr(codes, "_syndrome_tables", counting)
     # Restored after the test: this process is no pool worker.
     monkeypatch.setattr(campaign, "_WORKER_CONFIG", None)
-    monkeypatch.setattr(campaign, "_WORKER_CTX", {})
+    monkeypatch.setattr(campaign, "_WORKER_CTX", None)
     config = campaign.CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), max_blocks=3 * campaign.TRIAL_BATCH)
     campaign._pool_init(config.to_dict())
     for point in (0, 1):

@@ -18,6 +18,7 @@ from aesfec.channel import (
     hard_decision,
     llr_from_samples,
     modulate,
+    reliability_permutation,
     sigma_from_ebn0,
 )
 from aesfec.codes import AesPadOracle, CodeParams, MembershipOracle, RlcOracle, aes_encode, one_bit_masks, rlc_generate
@@ -407,6 +408,101 @@ def test_guess_batch_matches_one_row_decoders_and_reference(case, soft, ebn0, bu
         if found[r]:
             assert np.array_equal(blocks[r], ref[1])
             assert split(BitVec.from_bytes(blocks[r].tobytes(), params.n), params.k)[0] == out.message
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 140),
+    rows=st.integers(1, 12),
+    decimals=st.sampled_from([None, 1, 0, -1]),
+    pick=st.integers(1, 140),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_reliable_is_the_full_stable_argsort_prefix(n, rows, decimals, pick, seed):
+    # Rounded |LLR| put equal values on both sides of the rank boundary;
+    # decimals=-1 leaves a few distinct values per row.
+    rel = np.abs(np.random.default_rng(seed).normal(0.0, 8.0, size=(rows, n)))
+    if decimals is not None:
+        rel = np.round(rel, decimals)
+    want = reliability_permutation(rel)
+    for count in sorted({1, max(1, n // 2 - 1), max(1, n // 2), n, 1 + pick % n}):
+        assert np.array_equal(grand._least_reliable(rel, count), want[:, :count])
+
+
+def test_least_reliable_falls_back_on_boundary_ties():
+    # Row 0 ties at the 2nd value (three 1.0s), row 1 all-equal, row 2 not
+    # tied: only a stable sort puts positions 1, 2, 3 in order.
+    rel = np.array(
+        [
+            [5.0, 1.0, 1.0, 1.0, 0.0, 9.0, 9.0, 9.0, 9.0, 9.0],
+            [3.0] * 10,
+            [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6, 1.0],
+        ]
+    )
+    for count in range(1, 11):
+        assert np.array_equal(grand._least_reliable(rel, count), reliability_permutation(rel)[:, :count])
+    assert grand._least_reliable(rel, 2).tolist() == [[4, 1], [0, 1], [1, 5]]
+
+
+def test_guess_extends_the_ranking_mid_search():
+    # A [128,64] code leaves no other codeword near these words, so each row
+    # hits exactly the one-flip pattern (r,) that names its error, at query
+    # 1 + (its index in the logistic order). Ranks 3, 12 and 40 need the
+    # ranking at 8, 16 and 64 (the full sort) ranks; row 3's reliabilities
+    # are all equal, so its ranks are its positions (rank 10 is position 9).
+    params = CodeParams(128, 64)
+    oracle = RlcOracle(rlc_generate(params, 7))
+    rng = np.random.default_rng(3)
+    bits = oracle.code.encode_bits(rng.integers(0, 2, size=(4, params.k), dtype=np.uint8))
+    mags = np.vstack([rng.permutation(np.linspace(1.0, 9.0, params.n)) for _ in range(3)] + [np.full(params.n, 4.0)])
+    samples = modulate(bits) * mags
+    want_queries = []
+    for row, rank in enumerate((3, 12, 40, 10)):
+        pos = np.argsort(mags[row], kind="stable")[rank - 1]
+        samples[row, pos] *= -1.0
+        want_queries.append(1 + next(j for j, p in enumerate(logistic_order_patterns(params.n)) if p == (rank,)))
+    words = np.packbits(hard_bits(samples), axis=1)
+    found, blocks, queries = guess(words, oracle, 10**4, mags)
+    assert found.all()
+    assert queries.tolist() == want_queries
+    assert np.array_equal(blocks, np.packbits(bits, axis=1))
+    for row in range(4):
+        out = orbgrand_decode(SoftWord(samples=samples[row], llrs=mags[row], sigma=1.0), oracle, 10**4)
+        assert out.queries == want_queries[row]
+
+
+TIED_CASES = ("aes", "rlc", "rlc12", "sparse")
+
+
+@pytest.mark.parametrize("case", TIED_CASES)
+@settings(max_examples=10, deadline=None)
+@given(
+    ebn0=st.floats(3.0, 5.0),
+    levels=st.integers(1, 4),
+    rows=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guess_with_tied_reliabilities_matches_one_row_decoders_and_reference(case, ebn0, levels, rows, seed):
+    # |LLR| quantised to a few levels: most ranks are ties, broken by
+    # position, on both sides of every rank boundary the search crosses.
+    oracle, budgets = CORE_CASES[case]
+    budget = budgets[-1] if oracle.params.n <= 12 else 300
+    params = oracle.params
+    rng = np.random.default_rng(seed)
+    sigma = sigma_from_ebn0(ebn0 + EBN0_SHIFT_DB.get(case, 0.0), params.rate)
+    y = awgn_samples(modulate(transmitted_bits(oracle, rng, rows)), sigma, rng)
+    llrs = llr_from_samples(y, sigma)
+    rel = np.minimum(np.floor(np.abs(llrs) / 4.0), levels - 1)
+    words = np.packbits(hard_bits(y), axis=1)
+    found, blocks, queries = guess(words, oracle, budget, rel)
+
+    ranked = rank_bits(list(itertools.islice(logistic_order_patterns(params.n), min(budget, 1 << params.n))), params.n)
+    for r in range(rows):
+        out = orbgrand_decode(SoftWord(samples=y[r], llrs=np.copysign(rel[r], llrs[r]), sigma=sigma), oracle, budget)
+        ref = reference_search(oracle, words[r], logistic_flip_bits(ranked, reliability_permutation(rel[r])))
+        assert (bool(found[r]), int(queries[r])) == (ref[0], ref[2]) == (out.decoded, out.queries)
+        if found[r]:
+            assert np.array_equal(blocks[r], ref[1])
 
 
 def test_guess_rejects_bad_input():
