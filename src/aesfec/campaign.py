@@ -8,10 +8,20 @@ for any worker count, and campaigns that differ only in code or decoder
 see identical messages and noise (paired comparisons).
 
 A point stops after the trial that produces the min_block_errors-th block
-error, or at max_blocks. The stopping trial is found on the concatenated
-per-trial record, so workers racing ahead never change which trials are
-counted. Abandoned blocks (query budget exhausted) count as block errors
-with ceil(k/2) message bit errors.
+error, or at max_blocks. The stopping trial is found on the per-trial
+record concatenated in batch order, so batches computed past it never
+change which trials are counted. Abandoned blocks (query budget exhausted)
+count as block errors with ceil(k/2) message bit errors.
+
+With workers == 1 a campaign runs in the calling process. With more, it
+runs on that many forked worker processes (_Executor): worker r of W runs
+batches r, r + W, r + 2W, ... of each point, points in order, and sends
+each finished batch's records to the parent, which puts them back in
+batch order. As soon as the ordered record holds a point's stopping
+trial, the parent publishes the point's batch count in shared memory;
+each worker reads it before its next batch and moves on to the next
+point, so no worker waits for another and the work past a stopping trial
+is a batch or two per worker.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import pickle
+import struct
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -245,68 +257,28 @@ def run_block(config, point_index, trial_index):
     )
 
 
-# Pool worker state: the config once per pool, and the context of the
-# grid point last worked on (points run one after another).
-_WORKER_CONFIG = None
-_WORKER_CTX = None
+def _n_batches(config):
+    return -(-config.max_blocks // TRIAL_BATCH)
 
 
-def _pool_init(config_dict):
-    global _WORKER_CONFIG, _WORKER_CTX
-    _WORKER_CONFIG = CampaignConfig.from_dict(config_dict)
-    _WORKER_CTX = None
-
-
-def _pool_batch(task):
-    global _WORKER_CTX
-    point_index, batch_index = task
-    if _WORKER_CTX is None or _WORKER_CTX.point_index != point_index:
-        _WORKER_CTX = _PointContext(_WORKER_CONFIG, point_index)
-    return _WORKER_CTX.run_batch(batch_index, _batch_size(_WORKER_CONFIG, batch_index))
-
-
-def _iter_batches(config, point_index, pool, workers):
-    """Yield per-batch record arrays in batch order."""
-    n_batches = -(-config.max_blocks // TRIAL_BATCH)
-    if pool is None:
-        ctx = _PointContext(config, point_index)
-        for b in range(n_batches):
-            yield ctx.run_batch(b, _batch_size(config, b))
-        return
-    # Waves keep the pool busy while letting the consumer stop early; a
-    # wave that overshoots the stopping trial wastes work but never changes
-    # the result, because trials are cut on the concatenated record.
-    next_b = 0
-    wave = max(workers, 1)
-    while next_b < n_batches:
-        take = min(wave, n_batches - next_b)
-        tasks = [(point_index, b) for b in range(next_b, next_b + take)]
-        yield from pool.map(_pool_batch, tasks)
-        next_b += take
-        wave = min(wave * 2, 64)
-
-
-def run_point(config, point_index, workers=1, pool=None):
-    """Simulate one grid point until the stopping rule fires."""
-    errs = []
-    bits = []
-    qrys = []
-    abds = []
+def _prefix(config, batches):
+    """The records of one point's batches, taken in batch order up to the
+    batch that holds the stopping trial (all of them if the rule never
+    fires)."""
+    recs = []
     seen_errors = 0
-    for error, bit_errors, queries, abandoned in _iter_batches(config, point_index, pool, workers):
-        errs.append(error)
-        bits.append(bit_errors)
-        qrys.append(queries)
-        abds.append(abandoned)
-        seen_errors += int(error.sum())
+    for rec in batches:
+        recs.append(rec)
+        seen_errors += int(rec[0].sum())
         if seen_errors >= config.min_block_errors:
             break
-    error = np.concatenate(errs)
-    bit_errors = np.concatenate(bits)
-    queries = np.concatenate(qrys)
-    abandoned = np.concatenate(abds)
+    return recs
 
-    if seen_errors >= config.min_block_errors:
+
+def _point_result(config, point_index, recs):
+    """PointResult of one point from its _prefix records."""
+    error, bit_errors, queries, abandoned = (np.concatenate(col) for col in zip(*recs))
+    if int(error.sum()) >= config.min_block_errors:
         cum = np.cumsum(error)
         blocks = int(np.searchsorted(cum, config.min_block_errors)) + 1
     else:
@@ -342,6 +314,150 @@ def run_point(config, point_index, workers=1, pool=None):
     )
 
 
+def run_point(config, point_index):
+    """Simulate one grid point in this process until the stopping rule fires."""
+    ctx = _PointContext(config, point_index)
+    batches = (ctx.run_batch(b, _batch_size(config, b)) for b in range(_n_batches(config)))
+    return _point_result(config, point_index, _prefix(config, batches))
+
+
+# A worker's message: (point, batch) and that batch's records, or point -1
+# and the worker's rank followed by its pickled (exception, traceback).
+_HEADER = struct.Struct("<qq")
+_RECORD = np.dtype([("bit_errors", np.int64), ("queries", np.int64), ("abandoned", np.bool_)])
+
+
+def _worker(config, rank, workers, stop, conn):
+    """Body of campaign worker `rank` of `workers`.
+
+    Runs batches rank, rank + workers, ... of each grid point, points in
+    order, with one _PointContext per point, and sends each batch's records
+    to the parent as soon as they are done. Before each batch it reads
+    stop[point], the batch count the parent publishes once the point's
+    stopping trial is known, and moves on to the next point when its next
+    batch lies past it.
+    """
+    try:
+        for p in range(len(config.ebn0_grid_db)):
+            ctx = None
+            for b in range(rank, _n_batches(config), workers):
+                if b >= stop[p]:
+                    break
+                if ctx is None:
+                    ctx = _PointContext(config, p)
+                _, bit_errors, queries, abandoned = ctx.run_batch(b, _batch_size(config, b))
+                rec = np.empty(len(queries), _RECORD)
+                rec["bit_errors"] = bit_errors
+                rec["queries"] = queries
+                rec["abandoned"] = abandoned
+                conn.send_bytes(_HEADER.pack(p, b) + rec.tobytes())
+    except Exception as exc:
+        import traceback
+
+        tb = traceback.format_exc()
+        try:
+            payload = pickle.dumps((exc, tb))
+        except Exception:
+            payload = pickle.dumps((RuntimeError(repr(exc)), tb))
+        conn.send_bytes(_HEADER.pack(-1, rank) + payload)
+    finally:
+        conn.close()
+
+
+class _Executor:
+    """The worker processes of one campaign and the parent's side of them.
+
+    The workers come from an explicitly pinned fork context. A forked
+    worker starts with the parent's imported modules; one that re-imports
+    them (spawn, or forkserver, which Python 3.14 made the default on
+    Linux) would pay the interpreter start-up and imports, about 0.1 s,
+    again in every campaign. The parent reassembles the workers' records
+    in batch order and publishes each point's stop (see the module
+    docstring).
+    """
+
+    def __init__(self, config, workers):
+        self.config = config
+        self.point = 0  # records of earlier points are dropped on arrival
+        self.pending = {}  # (point, batch) -> records
+        mp = multiprocessing.get_context("fork")
+        self.stop = mp.RawArray("q", [_n_batches(config)] * len(config.ebn0_grid_db))
+        self.procs = []
+        self.running = {}  # sentinel -> process, until it is seen to exit
+        self.conns = []  # result pipes not yet at end of file
+        try:
+            for rank in range(workers):
+                recv, send = mp.Pipe(duplex=False)
+                proc = mp.Process(
+                    target=_worker,
+                    args=(config, rank, workers, self.stop, send),
+                    name=f"campaign worker {rank}",
+                    daemon=True,
+                )
+                proc.start()
+                send.close()
+                self.procs.append(proc)
+                self.running[proc.sentinel] = proc
+                self.conns.append(recv)
+        except BaseException:
+            self.close()
+            raise
+
+    def run_point(self, point_index):
+        """Like run_point, from the workers' records."""
+        recs = _prefix(self.config, self._ordered(point_index))
+        self.stop[point_index] = len(recs)
+        self.point = point_index + 1
+        self.pending = {key: rec for key, rec in self.pending.items() if key[0] > point_index}
+        return _point_result(self.config, point_index, recs)
+
+    def _ordered(self, p):
+        for b in range(_n_batches(self.config)):
+            while (p, b) not in self.pending:
+                self._receive()
+            rec = self.pending.pop((p, b))
+            bit_errors = rec["bit_errors"]
+            yield bit_errors > 0, bit_errors, rec["queries"], rec["abandoned"]
+
+    def _receive(self):
+        """Wait for and file the next messages; raise if a worker failed."""
+        # Imported here so that campaigns run in-process (workers == 1)
+        # never import it and the socket and tempfile modules it pulls in.
+        from multiprocessing.connection import wait
+
+        waiting = self.conns + list(self.running)
+        if not waiting:
+            raise RuntimeError("campaign workers exited before sending every batch")
+        for obj in wait(waiting):
+            if obj in self.running:
+                proc = self.running.pop(obj)
+                proc.join()
+                if proc.exitcode != 0:
+                    raise RuntimeError(f"{proc.name} (pid {proc.pid}) died with exit code {proc.exitcode}")
+                continue
+            try:
+                buf = obj.recv_bytes()
+            except EOFError:
+                self.conns.remove(obj)
+                obj.close()
+                continue
+            p, b = _HEADER.unpack_from(buf)
+            if p < 0:
+                exc, tb = pickle.loads(buf[_HEADER.size :])
+                raise exc from RuntimeError(f"in campaign worker {b}:\n{tb}")
+            if p >= self.point:
+                self.pending[p, b] = np.frombuffer(buf, _RECORD, offset=_HEADER.size)
+
+    def close(self):
+        """Stop and reap every worker; safe to call at any point."""
+        for proc in self.procs:
+            proc.terminate()
+        for proc in self.procs:
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+
+
 def _p99(values):
     """float(np.percentile(values, 99)) for a nonempty integer array.
 
@@ -366,14 +482,18 @@ def _p99(values):
 class CampaignResult:
     """All grid points of one campaign plus run metadata.
 
-    canonical_json covers config and points only; wall time and software
-    version live in a meta block so reruns compare bit-identically.
+    canonical_json covers config and points only; wall times, the worker
+    count and the software version live in a meta block so reruns compare
+    bit-identically. Files written before meta held the worker count and
+    per-point times load with workers None and no point times.
     """
 
     config: CampaignConfig
     points: list = field(default_factory=list)
     wall_time_s: float = 0.0
     version: str = ""
+    workers: int | None = None
+    point_wall_s: list = field(default_factory=list)
 
     def data_dict(self):
         return {
@@ -386,7 +506,15 @@ class CampaignResult:
 
     def to_json(self):
         doc = self.data_dict()
-        doc["meta"] = {"wall_time_s": self.wall_time_s, "version": self.version}
+        doc["meta"] = {
+            "wall_time_s": self.wall_time_s,
+            "version": self.version,
+            "workers": self.workers,
+            "points": [
+                {"wall_time_s": w, "blocks_per_s": p.blocks / w}
+                for p, w in zip(self.points, self.point_wall_s)
+            ],
+        }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod
@@ -398,6 +526,8 @@ class CampaignResult:
             points=[PointResult.from_dict(p) for p in doc["points"]],
             wall_time_s=meta.get("wall_time_s", 0.0),
             version=meta.get("version", ""),
+            workers=meta.get("workers"),
+            point_wall_s=[p["wall_time_s"] for p in meta.get("points", [])],
         )
 
     def save(self, path):
@@ -442,36 +572,45 @@ class CampaignResult:
 
 
 def run_campaign(config, workers=1, progress=False):
-    """Run every grid point; bit-identical output for any worker count."""
+    """Run every grid point; bit-identical output for any worker count.
+
+    workers == 1 runs the points in this process; more start that many
+    forked workers for the campaign (see _Executor).
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     from . import __version__
 
     t0 = time.perf_counter()
     points = []
-    pool = None
+    point_wall_s = []
+    executor = None
     try:
         if workers > 1:
-            pool = multiprocessing.Pool(
-                processes=workers, initializer=_pool_init, initargs=(config.to_dict(),)
-            )
+            executor = _Executor(config, workers)
+        t_point = t0
         for i in range(len(config.ebn0_grid_db)):
-            res = run_point(config, i, workers=workers, pool=pool)
+            res = run_point(config, i) if executor is None else executor.run_point(i)
+            now = time.perf_counter()
             points.append(res)
+            point_wall_s.append(now - t_point)
+            t_point = now
             if progress:
                 print(
                     f"  {res.ebn0_db:5.2f} dB: blocks={res.blocks} "
                     f"errors={res.block_errors} bler={res.bler:.3e} "
-                    f"ber={res.ber:.3e} mean_queries={res.mean_queries:.1f}",
+                    f"ber={res.ber:.3e} mean_queries={res.mean_queries:.1f} "
+                    f"blocks/s={res.blocks / point_wall_s[-1]:.0f}",
                     flush=True,
                 )
     finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+        if executor is not None:
+            executor.close()
     return CampaignResult(
         config=config,
         points=points,
         wall_time_s=time.perf_counter() - t0,
         version=__version__,
+        workers=workers,
+        point_wall_s=point_wall_s,
     )

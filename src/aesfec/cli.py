@@ -96,7 +96,13 @@ def build_parser():
     run.add_argument("--seed", type=_nonneg_int, default=1, help="master RNG seed")
     run.add_argument("--aes-key", type=_aes_key, default=DEFAULT_KEY_HEX, help="AES-128 key, 32 hex digits")
     run.add_argument("--rlc-seed", type=_nonneg_int, default=1, help="seed of the random linear code draw")
-    run.add_argument("--workers", type=_positive_int, default=1, help="worker processes (results are worker-count independent)")
+    run.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="processes per campaign: 1 runs in this process; W > 1 forks W workers, each running every W-th "
+        "batch of a point until the point's stop is published (results do not depend on W)",
+    )
     run.add_argument("--out", type=Path, default=None, help="output JSON path (default campaign_<code>_<decoder>.json)")
     run.add_argument("--quiet", action="store_true", help="suppress per-point progress lines")
     run.set_defaults(func=_cmd_run)

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -170,6 +171,80 @@ class TestDeterminism:
         assert r0.to_dict() != r1.to_dict()
 
 
+def _fail_at_batch(monkeypatch, batch, fail):
+    # Campaign workers are forked, so they run the patched method.
+    run_batch = campaign._PointContext.run_batch
+
+    def patched(self, batch_index, size):
+        if batch_index == batch:
+            fail()
+        return run_batch(self, batch_index, size)
+
+    monkeypatch.setattr(campaign._PointContext, "run_batch", patched)
+
+
+class TestExecutor:
+    def test_no_worker_outlives_a_campaign(self):
+        run_campaign(CampaignConfig(**FAST), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_reads_the_published_stop_before_each_batch(self):
+        class Conn:
+            def __init__(self):
+                self.sent = []
+
+            def send_bytes(self, buf):
+                self.sent.append(campaign._HEADER.unpack_from(buf))
+
+            def close(self):
+                pass
+
+        cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=4 * TRIAL_BATCH))
+        conn = Conn()
+        # Point 0 stopped after 3 batches; point 1 runs all 4.
+        campaign._worker(cfg, 1, 2, [3, 4], conn)
+        assert conn.sent == [(0, 1), (1, 1), (1, 3)]
+
+    def test_worker_exception_reraised_with_traceback(self, monkeypatch):
+        def fail():
+            raise ValueError("no batch 3")
+
+        _fail_at_batch(monkeypatch, 3, fail)
+        with pytest.raises(ValueError, match="no batch 3") as info:
+            run_campaign(CampaignConfig(**FAST), workers=2)
+        cause = str(info.value.__cause__)
+        assert "campaign worker 1" in cause
+        assert "Traceback" in cause and "in patched" in cause
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_fails_the_campaign(self):
+        # Run in a child interpreter: a campaign that hangs on a dead
+        # worker then fails at the timeout instead of hanging the suite.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import multiprocessing, os, signal\n"
+            "from aesfec import campaign\n"
+            "run_batch = campaign._PointContext.run_batch\n"
+            "def patched(self, b, size):\n"
+            "    if b == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return run_batch(self, b, size)\n"
+            "campaign._PointContext.run_batch = patched\n"
+            "cfg = campaign.CampaignConfig(code_kind='rlc', decoder_kind='orbgrand', ebn0_grid_db=(7.0,))\n"
+            "try:\n"
+            "    campaign.run_campaign(cfg, workers=2)\n"
+            "except RuntimeError as e:\n"
+            "    print(e)\n"
+            "print(multiprocessing.active_children())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert "campaign worker 1" in lines[0] and "exit code -9" in lines[0], lines
+        assert lines[1] == "[]"
+
+
 @pytest.fixture(scope="module")
 def result():
     return run_campaign(CampaignConfig(**FAST))
@@ -186,6 +261,23 @@ class TestSerialization:
         back = CampaignResult.from_json(result.to_json())
         back.wall_time_s = 123456.0
         assert back.canonical_json() == result.canonical_json()
+
+    def test_meta_times_points_without_touching_canonical_json(self):
+        cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(7.5, 8.0)))
+        res = run_campaign(cfg, workers=2)
+        doc = json.loads(res.to_json())
+        assert doc["meta"]["workers"] == 2
+        assert [set(p) for p in doc["meta"]["points"]] == [{"wall_time_s", "blocks_per_s"}] * 2
+        for p, m in zip(res.points, doc["meta"]["points"]):
+            assert m["blocks_per_s"] == pytest.approx(p.blocks / m["wall_time_s"])
+        assert json.loads(res.canonical_json()) == {k: doc[k] for k in ("config", "points")}
+        back = CampaignResult.from_json(res.to_json())
+        assert (back.workers, back.point_wall_s) == (2, res.point_wall_s)
+        # A file written before meta held the worker count and point times.
+        doc["meta"] = {"wall_time_s": 1.5, "version": "0.1.0"}
+        old = CampaignResult.from_json(json.dumps(doc))
+        assert old.canonical_json() == res.canonical_json()
+        assert (old.wall_time_s, old.workers, old.point_wall_s) == (1.5, None, [])
 
     def test_save_load(self, result, tmp_path):
         path = tmp_path / "r.json"

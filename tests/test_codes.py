@@ -324,7 +324,7 @@ def test_rlc_table_build_is_cheap():
     assert sum(t.nbytes for t in code._tables) == 16 * 256 * 2
 
 
-def test_pool_worker_builds_tables_once_per_point(monkeypatch):
+def test_campaign_worker_builds_tables_once_per_point(monkeypatch):
     from aesfec import campaign, codes
 
     calls = []
@@ -334,16 +334,25 @@ def test_pool_worker_builds_tables_once_per_point(monkeypatch):
         calls.append(nbytes)
         return build(h, nbytes)
 
+    class Conn:
+        def __init__(self):
+            self.sent = []
+
+        def send_bytes(self, buf):
+            self.sent.append(campaign._HEADER.unpack_from(buf))
+
+        def close(self):
+            pass
+
     monkeypatch.setattr(codes, "_syndrome_tables", counting)
-    # Restored after the test: this process is no pool worker.
-    monkeypatch.setattr(campaign, "_WORKER_CONFIG", None)
-    monkeypatch.setattr(campaign, "_WORKER_CTX", None)
     config = campaign.CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), max_blocks=3 * campaign.TRIAL_BATCH)
-    campaign._pool_init(config.to_dict())
-    for point in (0, 1):
-        for batch in range(3):
-            campaign._pool_batch((point, batch))
-    assert calls == [16, 16]
+    stop = [3, 3]  # no point stops early
+    # Both workers of a two-worker campaign, run here one after the other.
+    for rank in (0, 1):
+        conn = Conn()
+        campaign._worker(config, rank, 2, stop, conn)
+        assert conn.sent == [(p, b) for p in (0, 1) for b in range(rank, 3, 2)]
+    assert calls == [16, 16, 16, 16]
 
 
 @settings(max_examples=25, deadline=None)
