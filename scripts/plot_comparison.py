@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Plot BLER/BER curves from campaign JSON files written by run_comparison.py.
+"""Plot BLER/BER curves from campaign JSON files written by `aesfec run`.
 
 Requires matplotlib (not a package dependency):
 

@@ -8,54 +8,11 @@ linear code with a syndrome oracle provides the classical baseline, and the
 campaign module measures BER/BLER over a BPSK AWGN channel.
 """
 
-from .bitblock import BitVec, concat, hamming_weight, split, xor, zero_padding
+from .bitblock import BitVec, concat, split
 from .aes_core import Aes128, DEFAULT_KEY_HEX, KeySchedule, decrypt_block, encrypt_block, expand_key, key_from_hex
 from .codes import AesPadOracle, CodeParams, MembershipOracle, RlcCode, RlcOracle, aes_encode, rlc_encode, rlc_generate
-from .channel import ChannelPoint, SoftWord, add_awgn, hard_decision, modulate, reliability_permutation, sigma_from_ebn0
+from .channel import ChannelPoint, SoftWord, add_awgn, hard_decision, modulate, sigma_from_ebn0
 from .grand import DecodeOutcome, grand_decode, hamming_order_patterns, logistic_order_patterns, orbgrand_decode
 from .campaign import CampaignConfig, CampaignResult, PointResult, run_block, run_campaign, run_point
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BitVec",
-    "xor",
-    "hamming_weight",
-    "concat",
-    "split",
-    "zero_padding",
-    "Aes128",
-    "KeySchedule",
-    "DEFAULT_KEY_HEX",
-    "key_from_hex",
-    "expand_key",
-    "encrypt_block",
-    "decrypt_block",
-    "CodeParams",
-    "MembershipOracle",
-    "AesPadOracle",
-    "RlcCode",
-    "RlcOracle",
-    "aes_encode",
-    "rlc_generate",
-    "rlc_encode",
-    "ChannelPoint",
-    "SoftWord",
-    "sigma_from_ebn0",
-    "modulate",
-    "add_awgn",
-    "hard_decision",
-    "reliability_permutation",
-    "DecodeOutcome",
-    "hamming_order_patterns",
-    "logistic_order_patterns",
-    "grand_decode",
-    "orbgrand_decode",
-    "CampaignConfig",
-    "PointResult",
-    "CampaignResult",
-    "run_block",
-    "run_point",
-    "run_campaign",
-    "__version__",
-]

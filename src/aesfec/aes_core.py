@@ -1,6 +1,6 @@
 """AES-128 block cipher used as the inner bijection of the code.
 
-Two interchangeable evaluation paths:
+Two evaluation paths:
 
 * an authored table-driven numpy implementation operating on batches of
   16-byte blocks (the reference; also the source of the key schedule), and
@@ -14,6 +14,8 @@ diffusion, and a wrong or absent key simply yields garbage plaintext.
 """
 
 from __future__ import annotations
+
+import string
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -91,9 +93,11 @@ _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
 def key_from_hex(s):
-    """Parse a 32-hex-digit AES-128 key."""
-    if len(s) != 32:
-        raise ValueError(f"AES-128 key must be 32 hex digits, got {len(s)}")
+    """Parse an AES-128 key given as exactly 32 hex digits."""
+    # bytes.fromhex skips whitespace, so a 32-character string with spaces
+    # would decode to fewer than 16 bytes; only hex digits are accepted.
+    if len(s) != 32 or not set(s) <= set(string.hexdigits):
+        raise ValueError(f"AES-128 key must be 32 hex digits, got {s!r}")
     return bytes.fromhex(s)
 
 
@@ -192,7 +196,7 @@ def decrypt_block(ks, ct):
 
 
 # Fixed probe blocks used to cross-check the two evaluation paths whenever
-# an accelerated cipher is constructed.
+# an Aes128 is constructed.
 _PROBE = np.array(
     [[0] * 16, [0xFF] * 16, list(range(16))],
     dtype=np.uint8,
@@ -200,28 +204,21 @@ _PROBE = np.array(
 
 
 class Aes128:
-    """AES-128 in ECB with a selectable batch backend.
+    """AES-128 in ECB, batches through OpenSSL (cross-checked against the
+    numpy reference path on construction)."""
 
-    backend: "openssl" (default; cross-checked against the numpy path on
-    construction), "numpy" (reference path only).
-    """
-
-    def __init__(self, key, backend="openssl"):
+    def __init__(self, key):
         if isinstance(key, str):
             key = key_from_hex(key)
         self.schedule = expand_key(key)
-        if backend not in ("openssl", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
-        if backend == "openssl":
-            cipher = Cipher(algorithms.AES(key), modes.ECB())
-            self._enc = cipher.encryptor()
-            self._dec = cipher.decryptor()
-            ok = np.array_equal(encrypt_batch(self.schedule, _PROBE), self._openssl(self._enc, _PROBE)) and np.array_equal(
-                decrypt_batch(self.schedule, _PROBE), self._openssl(self._dec, _PROBE)
-            )
-            if not ok:
-                raise RuntimeError("OpenSSL backend disagrees with reference AES")
+        cipher = Cipher(algorithms.AES(key), modes.ECB())
+        self._enc = cipher.encryptor()
+        self._dec = cipher.decryptor()
+        ok = np.array_equal(encrypt_batch(self.schedule, _PROBE), self._openssl(self._enc, _PROBE)) and np.array_equal(
+            decrypt_batch(self.schedule, _PROBE), self._openssl(self._dec, _PROBE)
+        )
+        if not ok:
+            raise RuntimeError("OpenSSL disagrees with reference AES")
 
     @property
     def key(self):
@@ -239,14 +236,10 @@ class Aes128:
         return out[: len(blocks)]
 
     def encrypt_batch(self, blocks):
-        if self.backend == "openssl":
-            return self._openssl(self._enc, blocks)
-        return encrypt_batch(self.schedule, blocks)
+        return self._openssl(self._enc, blocks)
 
     def decrypt_batch(self, blocks):
-        if self.backend == "openssl":
-            return self._openssl(self._dec, blocks)
-        return decrypt_batch(self.schedule, blocks)
+        return self._openssl(self._dec, blocks)
 
     def encrypt(self, pt):
         return BitVec.from_bytes(self.encrypt_batch(_block_to_batch(pt)).tobytes(), BLOCK_BITS)
@@ -256,4 +249,4 @@ class Aes128:
 
     def __reduce__(self):
         # OpenSSL cipher contexts do not pickle; rebuild from the key.
-        return (Aes128, (self.key, self.backend))
+        return (Aes128, (self.key,))

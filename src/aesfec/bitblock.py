@@ -1,4 +1,4 @@
-"""Fixed-length bit vectors plus message/padding framing helpers.
+"""Fixed-length bit vectors plus message framing helpers.
 
 Bit position 0 is the first transmitted bit and maps to the most significant
 bit of the backing integer, so the hex form of a vector reads left to right
@@ -13,12 +13,8 @@ import numpy as np
 
 __all__ = [
     "BitVec",
-    "xor",
-    "hamming_weight",
     "concat",
     "split",
-    "zero_padding",
-    "random_message",
 ]
 
 
@@ -146,15 +142,6 @@ class BitVec:
         return f"BitVec(0x{self.to_hex()}, len={self._length})"
 
 
-def xor(a, b):
-    """Bitwise XOR of two equal-length vectors."""
-    return a ^ b
-
-
-def hamming_weight(a):
-    return a.weight()
-
-
 def concat(head, tail):
     """Concatenate: head occupies positions 0 .. len(head)-1 of the result."""
     return BitVec(
@@ -171,13 +158,3 @@ def split(vec, k):
     tail_len = n - k
     v = vec.to_int()
     return BitVec(v >> tail_len, k), BitVec(v & ((1 << tail_len) - 1), tail_len)
-
-
-def zero_padding(length):
-    """The all-zero pad block appended to a message before encryption."""
-    return BitVec.zeros(length)
-
-
-def random_message(length, rng):
-    """Uniform random message bits from a numpy Generator."""
-    return BitVec.random(length, rng)

@@ -98,8 +98,9 @@ class CampaignConfig:
         for name in ("max_queries", "min_block_errors", "max_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name in ("master_seed", "rlc_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def params(self):
@@ -556,19 +557,6 @@ class CampaignResult:
         "mean_queries",
         "p99_queries",
     )
-
-    def to_csv(self):
-        """Plot-ready per-point table with provenance comments."""
-        cfg = self.config
-        lines = [
-            f"# code={cfg.code_kind} decoder={cfg.decoder_kind} n={cfg.n} k={cfg.k} "
-            f"seed={cfg.master_seed} max_queries={cfg.max_queries}",
-            ",".join(self.CSV_FIELDS),
-        ]
-        for p in self.points:
-            row = [p.to_dict()[f] for f in self.CSV_FIELDS]
-            lines.append(",".join("" if v is None else repr(v) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def run_campaign(config, workers=1, progress=False):

@@ -26,7 +26,6 @@ __all__ = [
     "llr_from_samples",
     "hard_bits",
     "hard_decision",
-    "reliability_permutation",
 ]
 
 
@@ -52,14 +51,6 @@ class ChannelPoint:
     def noise_entropy_bits(self):
         """Differential entropy of the Gaussian noise per channel use, in bits."""
         return 0.5 * math.log2(2.0 * math.pi * math.e * self.sigma**2)
-
-    def to_dict(self):
-        return {
-            "ebn0_db": self.ebn0_db,
-            "rate": self.rate,
-            "sigma": self.sigma,
-            "noise_entropy_bits": self.noise_entropy_bits,
-        }
 
 
 @dataclass(frozen=True)
@@ -127,12 +118,3 @@ def hard_decision(word):
     """Hard-decision BitVec from a SoftWord (or a raw sample array)."""
     samples = word.samples if isinstance(word, SoftWord) else word
     return BitVec.from_array(hard_bits(samples))
-
-
-def reliability_permutation(word):
-    """Bit positions sorted by |LLR| ascending, least reliable first.
-
-    The sort is stable, so equal reliabilities keep their positional order.
-    """
-    llrs = word.llrs if isinstance(word, SoftWord) else np.asarray(word)
-    return np.argsort(np.abs(llrs), kind="stable")

@@ -1,4 +1,4 @@
-"""Command line front end: run campaigns, self-check, merge plot data."""
+"""Command line front end: run campaigns, merge plot data."""
 
 from __future__ import annotations
 
@@ -6,18 +6,11 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .aes_core import Aes128, DEFAULT_KEY_HEX, decrypt_block, encrypt_block, expand_key, key_from_hex
-from .bitblock import BitVec
+from .aes_core import DEFAULT_KEY_HEX, key_from_hex
 from .campaign import CampaignConfig, CampaignResult, run_campaign
-from .channel import sigma_from_ebn0
-from .codes import CodeParams, RlcOracle, rlc_generate
-from .grand import grand_decode, hamming_order_patterns, logistic_order_patterns
 
 __all__ = ["main", "parse_grid", "plot_data_csv"]
 
@@ -107,9 +100,6 @@ def build_parser():
     run.add_argument("--quiet", action="store_true", help="suppress per-point progress lines")
     run.set_defaults(func=_cmd_run)
 
-    self_p = sub.add_parser("selftest", help="fast built-in checks (known answers, orders, ML equivalence, channel calibration)")
-    self_p.set_defaults(func=_cmd_selftest)
-
     plot = sub.add_parser("plot-data", help="merge campaign JSON files into one long-format CSV")
     plot.add_argument("inputs", nargs="+", type=Path, help="campaign result JSON files")
     plot.add_argument("--out", type=Path, required=True, help="merged CSV path")
@@ -152,7 +142,7 @@ def _cmd_run(args):
               f"grid={list(config.ebn0_grid_db)} seed={config.master_seed}")
     result = run_campaign(config, workers=args.workers, progress=not args.quiet)
     result.save(out)
-    csv_path.write_text(result.to_csv())
+    csv_path.write_text(plot_data_csv([(out, result)]))
     if not args.quiet:
         print(f"wrote {out} and {csv_path} ({result.wall_time_s:.1f} s)")
     _print_table(result)
@@ -177,7 +167,7 @@ def plot_data_csv(sources):
     for path, res in sources:
         cfg = res.config
         comments.append(f"# source={path} code={cfg.code_kind} decoder={cfg.decoder_kind} "
-                        f"n={cfg.n} k={cfg.k} seed={cfg.master_seed}")
+                        f"n={cfg.n} k={cfg.k} seed={cfg.master_seed} max_queries={cfg.max_queries}")
         for p in res.points:
             d = p.to_dict()
             row = [cfg.code_kind, cfg.decoder_kind, cfg.n, cfg.k, cfg.master_seed]
@@ -210,106 +200,6 @@ def _cmd_plot_data(args):
     rows = sum(len(res.points) for _, res in sources)
     print(f"wrote {args.out} ({rows} rows from {len(sources)} campaigns)")
     return 0
-
-
-# selftest checks: each returns (ok, detail)
-
-
-def _check_aes():
-    key = key_from_hex(DEFAULT_KEY_HEX)
-    ks = expand_key(key)
-    pt = BitVec.from_hex("00112233445566778899aabbccddeeff", 128)
-    ct = encrypt_block(ks, pt)
-    ok = ct.to_hex() == "69c4e0d86a7b0430d8cdb78070b4c55a" and decrypt_block(ks, ct) == pt
-    ks2 = expand_key(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-    ok &= ks2.round_keys[10].tobytes().hex() == "d014f9a8c9ee2589e13f0cc8b6630ca6"
-    cipher = Aes128(key)  # construction cross-checks openssl against the reference
-    rng = np.random.default_rng(7)
-    blocks = rng.integers(0, 256, (1 << 12, 16), dtype=np.uint8)
-    ok &= bool(np.array_equal(cipher.decrypt_batch(cipher.encrypt_batch(blocks)), blocks))
-    t0 = time.perf_counter()
-    reps = 8
-    for _ in range(reps):
-        cipher.decrypt_batch(blocks)
-    rate = reps * len(blocks) / (time.perf_counter() - t0)
-    ok &= rate >= 1e5
-    return ok, f"decrypt throughput {rate / 1e6:.1f} M blocks/s"
-
-
-def _check_patterns():
-    n = 12
-    got = list(hamming_order_patterns(n))
-    want = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))
-    ok = got == want
-    got_l = list(logistic_order_patterns(n))
-    subsets = [()]
-    for r in range(1, n + 1):
-        subsets = subsets + [(*s, r) for s in subsets]
-    want_l = sorted(subsets, key=lambda s: (sum(s), len(s), s))
-    ok &= got_l == want_l
-    return ok, f"both orders complete and exact for n={n} ({len(got)} patterns)"
-
-
-def _check_ml():
-    params = CodeParams(n=8, k=4)
-    code = rlc_generate(params, seed=3)
-    oracle = RlcOracle(code)
-    msgs = np.array([[(m >> (3 - j)) & 1 for j in range(4)] for m in range(16)], dtype=np.uint8)
-    book = {}
-    for m in range(16):
-        cw = int("".join(map(str, code.encode_bits(msgs[m : m + 1])[0])), 2)
-        book[cw] = m
-    ok = True
-    for y in range(256):
-        word = BitVec(y, 8)
-        out = grand_decode(word, oracle, max_queries=1 << 8)
-        # reference: first codeword reached walking patterns in pinned order
-        expect = None
-        for pat in hamming_order_patterns(8):
-            flipped = y ^ int(f"{pat:08b}"[::-1], 2)  # pattern bit i flips position i
-            if flipped in book:
-                expect = book[flipped]
-                break
-        ok &= out.decoded and out.message.to_int() == expect
-    return ok, "grand matches brute-force nearest codeword on an exhaustive [8,4] code"
-
-
-def _check_channel():
-    rng = np.random.default_rng(11)
-    rate = 116 / 128
-    ok = True
-    worst = 0.0
-    for ebn0 in (4.0, 6.0, 8.0):
-        sigma = sigma_from_ebn0(ebn0, rate)
-        nbits = 1 << 20
-        flips = np.count_nonzero(1.0 + sigma * rng.standard_normal(nbits) < 0)
-        q = 0.5 * math.erfc(1.0 / (sigma * math.sqrt(2.0)))
-        tol = 5.0 * math.sqrt(q * (1.0 - q) / nbits)
-        worst = max(worst, abs(flips / nbits - q) / tol)
-        ok &= abs(flips / nbits - q) <= tol
-    return ok, f"hard-decision flip rate matches Q(1/sigma) (worst {worst:.2f} of tolerance)"
-
-
-def _cmd_selftest(args):
-    checks = (
-        ("aes known answers + throughput", _check_aes),
-        ("pattern order completeness", _check_patterns),
-        ("ml equivalence on [8,4]", _check_ml),
-        ("channel calibration", _check_channel),
-    )
-    failed = 0
-    t0 = time.perf_counter()
-    for name, fn in checks:
-        t = time.perf_counter()
-        try:
-            ok, detail = fn()
-        except Exception as e:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(e).__name__}: {e}"
-        dt = time.perf_counter() - t
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({dt:.2f} s)")
-        failed += 0 if ok else 1
-    print(f"selftest {'passed' if not failed else 'FAILED'} in {time.perf_counter() - t0:.2f} s")
-    return 1 if failed else 0
 
 
 def main(argv=None):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aes_core import Aes128, BLOCK_BITS
-from .bitblock import BitVec, concat, split, zero_padding
+from .bitblock import BitVec, concat
 
 __all__ = [
     "CodeParams",
@@ -142,24 +142,6 @@ class MembershipOracle(ABC):
     def accept_mask(self, words):
         return self.decode_batch(words)[0]
 
-    def first_accept(self, words):
-        """Index and decoded block of the first accepted row, or None."""
-        ok, blocks = self.decode_batch(words)
-        if not ok.any():
-            return None
-        idx = int(np.argmax(ok))
-        return idx, blocks[idx]
-
-    def query(self, word):
-        """Test one word; returns the decoded k-bit message, or None."""
-        if len(word) != self.params.n:
-            raise ValueError(f"expected {self.params.n}-bit word, got {len(word)}")
-        hit = self.first_accept(np.frombuffer(word.to_bytes(), dtype=np.uint8).reshape(1, -1))
-        if hit is None:
-            return None
-        block = BitVec.from_bytes(hit[1].tobytes(), self.params.n)
-        return split(block, self.params.k)[0]
-
 
 class AesPadOracle(MembershipOracle):
     """Membership test for the AES code: decrypt, accept iff padding is zero.
@@ -194,7 +176,7 @@ def aes_encode(m, params, cipher):
         raise ValueError(f"expected {params.k}-bit message, got {len(m)}")
     if params.n != BLOCK_BITS:
         raise ValueError(f"AES code needs n = {BLOCK_BITS}, got n = {params.n}")
-    return cipher.encrypt(concat(m, zero_padding(params.pad_bits)))
+    return cipher.encrypt(concat(m, BitVec.zeros(params.pad_bits)))
 
 
 class RlcCode:
@@ -240,30 +222,6 @@ class RlcCode:
         syn = self.syndromes(np.packbits(msgs, axis=1))
         parity = np.unpackbits(syn.view(np.uint8), axis=1, count=self.params.pad_bits)
         return np.hstack([msgs, parity])
-
-    def to_text(self):
-        """Dimensions header plus one hex row of G per line."""
-        width = (self.params.n + 3) // 4
-        lines = [f"rlc n={self.params.n} k={self.params.k} seed={self.seed}"]
-        for row in self.generator_matrix:
-            lines.append(BitVec.from_array(row).to_hex().rjust(width, "0"))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "rlc":
-            raise ValueError(f"not an rlc matrix header: {lines[0]!r}")
-        fields = dict(part.split("=", 1) for part in head[1:])
-        params = CodeParams(n=int(fields["n"]), k=int(fields["k"]))
-        seed = None if fields.get("seed") in (None, "None") else int(fields["seed"])
-        if len(lines) - 1 != params.k:
-            raise ValueError(f"expected {params.k} generator rows, got {len(lines) - 1}")
-        g = np.array([BitVec.from_hex(ln.strip(), params.n).to_array() for ln in lines[1:]], dtype=np.uint8)
-        if not np.array_equal(g[:, : params.k], np.eye(params.k, dtype=np.uint8)):
-            raise ValueError("generator matrix is not in systematic form")
-        return cls(params, g[:, params.k :], seed=seed)
 
 
 def _syndrome_tables(h, nbytes):

@@ -72,7 +72,6 @@ __all__ = [
     "DecodeOutcome",
     "hamming_order_patterns",
     "logistic_order_patterns",
-    "pattern_positions",
     "guess",
     "grand_decode",
     "orbgrand_decode",
@@ -121,18 +120,6 @@ def _gosper(n, w):
         c = v & -v
         r = v + c
         v = (((r ^ v) >> 2) // c) | r
-
-
-def pattern_positions(word):
-    """Flip positions of a Hamming-order pattern word, ascending."""
-    out = []
-    i = 0
-    while word:
-        if word & 1:
-            out.append(i)
-        word >>= 1
-        i += 1
-    return tuple(out)
 
 
 def logistic_order_patterns(n):

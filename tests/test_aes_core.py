@@ -66,21 +66,10 @@ def test_round_keys_read_only():
 
 def test_key_from_hex_validation():
     assert key_from_hex(DEFAULT_KEY_HEX) == KAT_KEY
-    for bad in ("00", "zz" * 16, "0" * 31):
+    # bytes.fromhex would skip the spaces and return 15 bytes.
+    for bad in ("00", "zz" * 16, "0" * 31, "00 0102030405060708090a0b0c0d0e "):
         with pytest.raises(ValueError):
             key_from_hex(bad)
-
-
-def test_backends_agree_on_random_batch():
-    rng = np.random.default_rng(5)
-    blocks = rng.integers(0, 256, size=(512, 16), dtype=np.uint8)
-    ref = Aes128(KAT_KEY, backend="numpy")
-    fast = Aes128(KAT_KEY)
-    ct_ref = ref.encrypt_batch(blocks)
-    ct_fast = fast.encrypt_batch(blocks)
-    assert np.array_equal(ct_ref, ct_fast)
-    assert np.array_equal(ref.decrypt_batch(ct_ref), blocks)
-    assert np.array_equal(fast.decrypt_batch(ct_fast), blocks)
 
 
 def test_numpy_reference_round_trip():

@@ -7,11 +7,7 @@ from hypothesis import given, strategies as st
 from aesfec.bitblock import (
     BitVec,
     concat,
-    hamming_weight,
-    random_message,
     split,
-    xor,
-    zero_padding,
 )
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=200)
@@ -57,15 +53,16 @@ def test_immutability_and_hash():
 
 def test_xor_requires_equal_length():
     with pytest.raises(ValueError):
-        xor(BitVec.zeros(4), BitVec.zeros(5))
+        BitVec.zeros(4) ^ BitVec.zeros(5)
 
 
 def test_zero_padding_and_random_message():
-    assert zero_padding(12) == BitVec.zeros(12)
+    pad = BitVec.zeros(12)
+    assert len(pad) == 12 and pad.to_int() == 0
     rng = np.random.default_rng(7)
-    m1 = random_message(116, rng)
+    m1 = BitVec.random(116, rng)
     assert len(m1) == 116
-    m2 = random_message(116, np.random.default_rng(7))
+    m2 = BitVec.random(116, np.random.default_rng(7))
     assert m1 == m2
 
 
@@ -74,7 +71,7 @@ def test_bits_round_trip(bits):
     v = BitVec.from_bits(bits)
     assert list(v) == bits
     assert len(v) == len(bits)
-    assert v.weight() == sum(bits) == hamming_weight(v)
+    assert v.weight() == sum(bits)
     assert BitVec.from_array(v.to_array()) == v
     assert int(v.to_int()) == int("".join(map(str, bits)), 2)
 
@@ -83,8 +80,8 @@ def test_bits_round_trip(bits):
 def test_xor_involution(bits):
     v = BitVec.from_bits(bits)
     w = BitVec.random(len(bits), np.random.default_rng(0))
-    assert xor(xor(v, w), w) == v
-    assert xor(v, v) == BitVec.zeros(len(bits))
+    assert (v ^ w) ^ w == v
+    assert v ^ v == BitVec.zeros(len(bits))
 
 
 @given(bits_lists, st.data())

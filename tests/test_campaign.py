@@ -26,6 +26,7 @@ from aesfec.campaign import (
     wilson_interval,
 )
 from aesfec.channel import awgn_samples, hard_bits, llr_from_samples, modulate
+from aesfec.cli import plot_data_csv
 from aesfec.grand import guess
 
 # high SNR keeps unit-test campaigns to a few thousand blocks
@@ -72,6 +73,7 @@ class TestConfig:
             dict(min_block_errors=0),
             dict(max_blocks=-1),
             dict(aes_key_hex="zz"),
+            dict(rlc_seed=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -286,10 +288,11 @@ class TestSerialization:
         assert back.canonical_json() == result.canonical_json()
 
     def test_csv_shape(self, result):
-        lines = result.to_csv().strip().splitlines()
-        assert lines[0].startswith("#")
+        lines = plot_data_csv([("r.json", result)]).strip().splitlines()
+        assert lines[0].startswith("# source=r.json ")
+        assert lines[0].endswith(f" max_queries={result.config.max_queries}")
         header = lines[1].split(",")
-        assert header == list(CampaignResult.CSV_FIELDS)
+        assert header == ["code", "decoder", "n", "k", "master_seed", *CampaignResult.CSV_FIELDS]
         assert len(lines) == 2 + len(result.points)
         row = dict(zip(header, lines[2].split(",")))
         assert float(row["ebn0_db"]) == 8.0

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,24 @@ def test_run_rejects_out_path_shared_with_csv(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_run_rejects_key_with_spaces_before_output(tmp_path):
+    # 32 characters, but bytes.fromhex would skip the spaces and give 15 bytes.
+    out = tmp_path / "out" / "x.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aesfec.cli", "run", "--ebn0", "8.0", "--out", str(out), "--quiet",
+         "--aes-key", "00 0102030405060708090a0b0c0d0e "],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "--aes-key" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.parent.exists()
+
+
 def test_run_rejects_bad_combo(tmp_path, capsys):
     rc = main(
         [
@@ -151,51 +170,18 @@ def test_plot_data_merges_runs(tmp_path):
     assert kinds == {"aes", "rlc"}
 
 
-def test_selftest_passes(capsys):
-    rc = main(["selftest"])
-    out = capsys.readouterr().out
-    assert rc in (0, None), out
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
-
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
-
-
-@pytest.mark.parametrize("flag, value", [("--max-queries", "0"), ("--workers", "0"), ("--seed", "-1"), ("--max-blocks", "x")])
-def test_run_comparison_rejects_bad_flags_before_output(tmp_path, flag, value):
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(out), flag, value],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert flag in proc.stderr and "Traceback" not in proc.stderr
-    assert not out.exists()
-
-
-def test_run_comparison_merges_with_plot_data_columns(tmp_path):
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(out), "--ebn0", "8", "--min-block-errors", "1", "--max-blocks", "256"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    jsons = [out / f"{c}-{d}.json" for c in ("aes", "rlc") for d in ("grand", "orbgrand")]
-    assert main(["plot-data", *map(str, jsons), "--out", str(tmp_path / "plot.csv")]) == 0
-    assert (out / "comparison.csv").read_text() == (tmp_path / "plot.csv").read_text()
-
-
 @pytest.fixture(scope="module")
 def campaign_json(tmp_path_factory):
     path = tmp_path_factory.mktemp("plot") / "aes-grand.json"
     argv = ["run", "--ebn0", "8", "--min-block-errors", "1", "--max-blocks", "256", "--out", str(path), "--quiet"]
     assert main(argv) == 0
     return path
+
+
+def test_run_csv_is_the_plot_data_csv(tmp_path, campaign_json):
+    merged = tmp_path / "merged.csv"
+    assert main(["plot-data", str(campaign_json), "--out", str(merged)]) == 0
+    assert campaign_json.with_suffix(".csv").read_text() == merged.read_text()
 
 
 @pytest.mark.parametrize(
