@@ -244,9 +244,6 @@ class Aes128:
     def encrypt(self, pt):
         return BitVec.from_bytes(self.encrypt_batch(_block_to_batch(pt)).tobytes(), BLOCK_BITS)
 
-    def decrypt(self, ct):
-        return BitVec.from_bytes(self.decrypt_batch(_block_to_batch(ct)).tobytes(), BLOCK_BITS)
-
     def __reduce__(self):
         # OpenSSL cipher contexts do not pickle; rebuild from the key.
         return (Aes128, (self.key,))

@@ -130,6 +130,10 @@ def _cmd_run(args):
     if csv_path == out:
         print(f"error: --out {out} is also where the CSV goes; give the JSON path another suffix", file=sys.stderr)
         return 2
+    for path in (out, csv_path):
+        if path.is_dir():
+            print(f"error: --out {out}: {path} is a directory, not a file the results can be written to", file=sys.stderr)
+            return 2
     # Make the output directory before the first block, so a campaign never
     # finishes only to find it cannot write its results.
     try:

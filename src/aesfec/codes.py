@@ -182,14 +182,13 @@ def aes_encode(m, params, cipher):
 class RlcCode:
     """Systematic random linear code defined by its parity block P."""
 
-    def __init__(self, params, p_matrix, seed=None):
+    def __init__(self, params, p_matrix):
         p = np.array(p_matrix, dtype=np.uint8)
         if p.shape != (params.k, params.pad_bits):
             raise ValueError(f"P must be {(params.k, params.pad_bits)}, got {p.shape}")
         if p.size and p.max() > 1:
             raise ValueError("P must be binary")
         self.params = params
-        self.seed = seed
         # The syndrome tables are derived from P once, so P is frozen.
         p.setflags(write=False)
         self.P = p
@@ -255,7 +254,7 @@ def rlc_generate(params, seed):
     """Draw a systematic RLC with i.i.d. uniform parity block from a seed."""
     rng = np.random.default_rng(seed)
     p = rng.integers(0, 2, size=(params.k, params.pad_bits), dtype=np.uint8)
-    return RlcCode(params, p, seed=seed)
+    return RlcCode(params, p)
 
 
 def rlc_encode(m, code):

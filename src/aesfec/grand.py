@@ -32,26 +32,27 @@ where the budget or the pattern space ends.
 Candidates are tested as images, not words (see aesfec.codes): the oracle
 maps words linearly to images, so the image of y ^ e is the image of y
 XORed with the images of the positions e flips, the oracle's
-image_columns. GRAND XORs the shared Hamming-order pattern images onto
-each row's image; ORBGRAND XORs, for each rank in a pattern, the column
-image of the position that rank names in that row, gathered through the
-row's own stable ranking of |LLR|. A row is ranked only as far as the
-patterns reach: ranks 1 .. R with R at least 8 and at least doubled
-whenever a step names a rank above R, each prefix exactly that of the full
-stable argsort (_least_reliable). Acceptance of an image is acceptance of
-the word it images, so the queries counted, the blocks accepted and the
+image_columns. GRAND XORs, for each position in a pattern, that
+position's column image, and XORs the pattern images onto each row's
+image; ORBGRAND XORs, for each rank in a pattern, the column image of the
+position that rank names in that row, gathered through the row's own
+stable ranking of |LLR|. A row is ranked only as far as the patterns
+reach: ranks 1 .. R with R at least 8 and at least doubled whenever a
+step names a rank above R, each prefix exactly that of the full stable
+argsort (_least_reliable). Acceptance of an image is acceptance of the
+word it images, so the queries counted, the blocks accepted and the
 budget cut are those of a search over words. Only for a row that hits is
-the word y ^ e built (from the one-bit masks), and decode_batch returns its
-block. For an oracle whose images are its words (the default, and the AES
-oracle) the two Hamming stores are one. grand_decode and orbgrand_decode
-are one-row calls into the core.
+the word y ^ e built (from the one-bit masks), and decode_batch returns
+its block. grand_decode and orbgrand_decode are one-row calls into the
+core.
 
-Words are packed (np.packbits layout). Both orders are built with numpy,
-lazily, as far as the searches reach: a Hamming weight class from the class
-below it (per column matrix), and the logistic order one rank sum at a time
-from smaller sets of distinct ranks. The python generators
-hamming_order_patterns and logistic_order_patterns are the references they
-are tested against.
+Words are packed (np.packbits layout). Both orders are per-n stores of
+1-based position or rank sets, built with numpy, lazily, as far as the
+searches reach: a Hamming weight class one top position at a time from
+the class below it, and the logistic order one rank sum at a time from
+smaller sets of distinct ranks. The python generators
+hamming_order_patterns and logistic_order_patterns are the references
+they are tested against.
 """
 
 from __future__ import annotations
@@ -88,12 +89,6 @@ _FIRST_STEP = 16
 _GROWTH = 4
 # Candidates per oracle call at most (256 KiB of words at n = 128).
 _MAX_WORDS = 1 << 14
-
-# Weight classes whose images fit in this many bytes are built whole and
-# kept; heavier classes are built piecewise, on demand, from the class below.
-_WEIGHT_CACHE_BYTES = 8 << 20
-# Hamming stores kept, one per distinct column matrix (LRU).
-_STORES = 16
 
 
 def hamming_order_patterns(n):
@@ -164,68 +159,53 @@ class DecodeOutcome:
     final_weight: int | None
 
     @property
-    def decoded(self):
-        return self.message is not None
-
-    @property
     def abandoned(self):
         return self.message is None
 
 
-class _HammingMasks:
-    """Images of the Hamming order over one column matrix, addressed by
-    pattern index.
+class _HammingPatterns:
+    """Per-n store of position sets in Hamming order, grown on demand.
 
-    columns is an (n, w) uint8 array whose row p is the image of position
-    p; a pattern's image is the XOR of the rows of the positions it flips.
-    With the one-bit masks as columns, the images are the pattern words.
+    Pattern j is row j of an array: 1 + its flipped positions, ascending,
+    padded with zeros. Increasing integer value within a weight class is
+    colex order: rows C(t, w) .. C(t + 1, w) - 1 of class w are the first
+    C(t, w - 1) rows of class w - 1, each plus the top position t. The store
+    grows one top position at a time, and at least doubles whenever a
+    search reaches past its end.
     """
 
-    def __init__(self, columns):
-        self.columns = columns
-        self.n, self.width = columns.shape
+    def __init__(self, n):
         # Index of the first pattern of each weight class, then 2^n.
-        self.starts = list(accumulate((comb(self.n, w) for w in range(self.n + 1)), initial=0))
-        self._classes = [np.zeros((1, self.width), dtype=np.uint8)]
+        self.starts = list(accumulate((comb(n, w) for w in range(n + 1)), initial=0))
+        self._sets = np.zeros((1, 0), dtype=np.min_scalar_type(n))  # the empty set
+        self._t = 0  # the next top position of the class being built
 
     def weight(self, index):
         return bisect_right(self.starts, index) - 1
 
-    def masks(self, i0, i1):
-        """(i1 - i0, w) images of patterns i0 .. i1 - 1."""
-        parts = []
-        w = self.weight(i0)
-        while i0 < i1:
-            end = min(i1, self.starts[w + 1])
-            parts.append(self._rows(w, i0 - self.starts[w], end - self.starts[w]))
-            i0, w = end, w + 1
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def ranks(self, i0, i1):
+        """Rows i0 .. i1 - 1, cut to the weight of the last, the widest."""
+        if len(self._sets) < i1:
+            self._grow(max(i1, 2 * len(self._sets), 64))
+        return self._sets[i0:i1, : self.weight(i1 - 1)]
 
-    def _rows(self, w, a, b):
-        # The kept classes are a prefix 0, 1, ..., so each is built from a kept one.
-        while len(self._classes) <= w:
-            nxt = len(self._classes)
-            if comb(self.n, nxt) * self.width > _WEIGHT_CACHE_BYTES:
-                return self._build(w, a, b)
-            full = self._build(nxt, 0, comb(self.n, nxt))
-            full.setflags(write=False)
-            self._classes.append(full)
-        return self._classes[w][a:b]
-
-    def _build(self, w, a, b):
-        # Increasing integer value within a class is colex order: rows
-        # C(t, w) .. C(t + 1, w) - 1 of class w are the first C(t, w - 1)
-        # rows of class w - 1, each plus the top position t.
-        t = w - 1
-        while comb(t + 1, w) <= a:
-            t += 1
-        parts = []
-        while a < b:
-            lo = comb(t, w)
-            end = min(b, comb(t + 1, w))
-            parts.append(self._rows(w - 1, a - lo, end - lo) ^ self.columns[t])
-            a, t = end, t + 1
-        return np.concatenate(parts)
+    def _grow(self, count):
+        parts = [self._sets]
+        have = len(self._sets)
+        while have < min(count, self.starts[-1]):
+            w = self.weight(have)
+            if have == self.starts[w]:
+                # Class w - 1 is whole: stack it, as class w is built from it.
+                parts = [_stacked(parts)]
+                self._t = w - 1
+            lo = self.starts[w - 1]
+            block = np.empty((comb(self._t, w - 1), w), dtype=parts[0].dtype)
+            block[:, :-1] = parts[0][lo : lo + len(block), : w - 1]
+            block[:, -1] = self._t + 1
+            parts.append(block)
+            have += len(block)
+            self._t += 1
+        self._sets = _stacked(parts)
 
 
 class _LogisticPatterns:
@@ -265,12 +245,7 @@ class _LogisticPatterns:
                 parts.append(self._distinct(self._sum, m))
                 have += len(parts[-1])
                 m += 1
-        ranks = np.zeros((have, max(p.shape[1] for p in parts)), dtype=np.uint16)
-        row = 0
-        for p in parts:
-            ranks[row : row + len(p), : p.shape[1]] = p
-            row += len(p)
-        self._ranks = ranks
+        self._ranks = _stacked(parts)
 
     def _distinct(self, w, m):
         """(count, m) sets of m distinct ranks in 1..n summing to w, in
@@ -298,33 +273,31 @@ class _LogisticPatterns:
         return self._sets[w, m]
 
 
-@functools.lru_cache(maxsize=_STORES)
-def _hamming_store(shape, data):
-    return _HammingMasks(np.frombuffer(data, dtype=np.uint8).reshape(shape))
+def _stacked(parts):
+    """The rows of parts one below the other, padded with zeros to the widest."""
+    out = np.zeros((sum(len(p) for p in parts), max(p.shape[1] for p in parts)), dtype=parts[0].dtype)
+    row = 0
+    for p in parts:
+        out[row : row + len(p), : p.shape[1]] = p
+        row += len(p)
+    return out
 
 
-def _hamming_masks(columns):
-    """The Hamming store of a column matrix; equal matrices share one."""
-    return _hamming_store(columns.shape, columns.tobytes())
-
-
+_hamming_patterns = functools.cache(_HammingPatterns)
 _logistic_patterns = functools.cache(_LogisticPatterns)
 
 
 def _xor_outer(patterns, rows):
-    """(c, w) pattern images XOR (r, w) row images -> (c, r, w).
+    """(c, L) pattern images XOR (r, L) row images -> (c, r, L), in lanes
+    of the widest unsigned integer that divides the image width.
 
-    XORs a lane at a time, in the widest unsigned integer that divides w:
-    a broadcast XOR whose innermost axis is w bytes runs several times
-    slower.
+    XORs a lane at a time: a broadcast XOR whose innermost axis is an
+    image's few lanes or bytes runs several times slower.
     """
-    c, w = patterns.shape
-    lane = np.dtype(f"u{gcd(w, 8)}")
-    p, y = patterns.view(lane), rows.view(lane)
-    out = np.empty((c, len(y), p.shape[1]), dtype=lane)
-    for j in range(p.shape[1]):
-        np.bitwise_xor(p[:, j, None], y[:, j], out=out[:, :, j])
-    return out.view(np.uint8)
+    out = np.empty((len(patterns), len(rows), patterns.shape[1]), dtype=patterns.dtype)
+    for j in range(patterns.shape[1]):
+        np.bitwise_xor(patterns[:, j, None], rows[:, j], out=out[:, :, j])
+    return out
 
 
 def _least_reliable(rel, count):
@@ -346,6 +319,14 @@ def _least_reliable(rel, count):
     tied = np.count_nonzero(rel <= vals.max(axis=1, keepdims=True), axis=1) > count
     if tied.any():
         out[tied] = np.argsort(rel[tied], axis=1, kind="stable")[:, :count]
+    return out
+
+
+def _xor_gather(table, index):
+    """XOR, for each row of index, of the table entries it names."""
+    out = table.take(index[:, 0], axis=0)
+    for col in index.T[1:]:
+        out ^= table.take(col, axis=0)
     return out
 
 
@@ -380,25 +361,25 @@ def guess(words, oracle, max_queries, reliability=None):
     active = np.flatnonzero(~found)
     y = words[active]
     image = np.ascontiguousarray(oracle.images(y))
-    columns = oracle.image_columns()
+    columns = _with_zero_row(oracle.image_columns())
+    flip_words = _with_zero_row(one_bit_masks(n))
     if reliability is None:
-        pattern_images = _hamming_masks(columns)
-        pattern_words = _hamming_masks(one_bit_masks(n))
+        store = _hamming_patterns(n)
+        lane = f"u{gcd(image.shape[1], 8)}"  # pattern images are built in _xor_outer's lanes
+        image, columns = image.view(lane), columns.view(lane)
     else:
         store = _logistic_patterns(n)
         rel = np.asarray(reliability).take(active, axis=0)
         ranked = 0  # ranks 1 .. ranked are resolved in every row
-        rank_columns = _with_zero_row(columns)
-        rank_words = _with_zero_row(one_bit_masks(n))
     space = min(max_queries, 1 << n)
     i, c = 1, _FIRST_STEP
     while active.size and i < space:
         c = min(c, max(1, _MAX_WORDS // active.size), space - i)
+        ranks = store.ranks(i, i + c)
         # Candidate images are pattern-major: (c, rows, w).
         if reliability is None:
-            cand = _xor_outer(pattern_images.masks(i, i + c), image)
+            cand = _xor_outer(_xor_gather(columns, ranks), image).view(np.uint8)
         else:
-            ranks = store.ranks(i, i + c)
             need = int(ranks.max(initial=0))
             if need > ranked:
                 # Rank at least 8 and at least double, so that a long
@@ -412,20 +393,18 @@ def guess(words, oracle, max_queries, reliability=None):
                 # (ranked + 1, rows, w): entry r, a is the image of what
                 # rank r flips in row a. take and compress here measured
                 # 5-10x faster than the same fancy indexing.
-                rank_images = rank_columns.take(order.T, axis=0)
-            cand = image ^ rank_images.take(ranks[:, 0], axis=0)
-            for col in ranks.T[1:]:
-                cand ^= rank_images.take(col, axis=0)
+                rank_images = columns.take(order.T, axis=0)
+            cand = _xor_gather(rank_images, ranks)
+            cand ^= image
         ok = oracle.accept_images(cand.reshape(c * len(active), -1)).reshape(c, len(active))
         hit = ok.any(axis=0)
         if hit.any():
             rows = np.flatnonzero(hit)
             col = ok[:, rows].argmax(axis=0)
-            # Only hits are built as words, y ^ e, for decode_batch's blocks.
-            if reliability is None:
-                e = pattern_words.masks(i, i + c)[col]
-            else:
-                e = np.bitwise_xor.reduce(rank_words.take(order[rows[:, None], ranks[col]], axis=0), axis=1)
+            # Only hits are built as words, y ^ e, for decode_batch's blocks:
+            # 1 + the positions each hit's pattern flips, then their masks.
+            flips = ranks[col] if reliability is None else order[rows[:, None], ranks[col]]
+            e = np.bitwise_xor.reduce(flip_words.take(flips, axis=0), axis=1)
             done = active[rows]
             found[done] = True
             queries[done] = i + 1 + col
@@ -457,8 +436,7 @@ def grand_decode(y, oracle, max_queries=DEFAULT_MAX_QUERIES):
     if len(y) != oracle.params.n:
         raise ValueError(f"expected {oracle.params.n}-bit word, got {len(y)}")
     words = np.frombuffer(y.to_bytes(), dtype=np.uint8)[None]
-    patterns = _hamming_masks(one_bit_masks(oracle.params.n))
-    return _outcome(oracle, patterns, guess(words, oracle, max_queries))
+    return _outcome(oracle, _hamming_patterns(oracle.params.n), guess(words, oracle, max_queries))
 
 
 def orbgrand_decode(word, oracle, max_queries=DEFAULT_MAX_QUERIES):

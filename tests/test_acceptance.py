@@ -8,7 +8,9 @@ rlc_seed=1, the package defaults; those defaults were fixed before any
 campaign was run and are not tuned to the outcome.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import time
 
@@ -304,3 +306,16 @@ def test_criterion_8_worker_determinism(comparison_results, criterion_log):
         if ok else "campaign results differ across worker counts",
     )
     assert ok
+
+
+def test_pinned_grand_campaigns_match_recorded_hashes(comparison_results, perfbench_run):
+    # The criterion-6 GRAND pair is the benchmark's pinned-grand workload,
+    # so its recorded hashes check the longest Hamming-order searches of
+    # the suite at no extra campaign time.
+    with open(perfbench_run.RECORD) as f:
+        expected = json.load(f)["expected_sha256"]
+    for label, cfg in perfbench_run.workloads.campaigns("pinned-grand", 1):
+        result = comparison_results[cfg["code_kind"], "grand"]
+        assert result.config == CampaignConfig(**cfg)
+        got = hashlib.sha256(result.canonical_json().encode()).hexdigest()
+        assert got == expected[perfbench_run.config_key(cfg)], label

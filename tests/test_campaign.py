@@ -1,7 +1,6 @@
 """Monte Carlo campaign engine: addressing, stopping, serialization."""
 
 import hashlib
-import importlib.util
 import json
 import math
 import multiprocessing
@@ -333,21 +332,6 @@ class TestPairing:
         assert g.mean_queries == o.mean_queries == 1.0
 
 
-@pytest.fixture(scope="module")
-def perfbench_run():
-    """perfbench/run.py imported by path (it puts its directory on sys.path
-    to import workloads.py; the path is restored afterwards)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    module = importlib.util.module_from_spec(spec)
-    saved = list(sys.path)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
-    return module
-
-
 @pytest.mark.parametrize("workload, seed", [("tail", 1), ("deep", 1), ("deep", 1017)], ids=["tail", "deep", "deep-1017"])
 def test_benchmark_campaigns_match_recorded_hashes(perfbench_run, workload, seed):
     # The campaigns are a pure function of their configs, so a change that
@@ -362,7 +346,7 @@ def test_benchmark_campaigns_match_recorded_hashes(perfbench_run, workload, seed
 
 
 def reference_batch(ctx, batch_index, size):
-    """run_batch's records, with the channel drawn into fresh arrays."""
+    """run_batch's record fields, with the channel drawn into fresh arrays."""
     cfg = ctx.config
     mrng = np.random.default_rng((cfg.master_seed, ctx.point_index, batch_index, 0))
     msgs = mrng.integers(0, 2, size=(size, ctx.params.k), dtype=np.uint8)
@@ -373,7 +357,7 @@ def reference_batch(ctx, batch_index, size):
     found, blocks, queries = guess(np.packbits(hard_bits(y), axis=1), ctx.oracle, cfg.max_queries, rel)
     bit_errors = np.bitwise_count((blocks ^ ref) & ctx.msg_mask).sum(axis=1, dtype=np.int64)
     bit_errors[~found] = ctx.abandon_bit_errors
-    return bit_errors > 0, bit_errors, queries, ~found
+    return {"bit_errors": bit_errors, "queries": queries, "abandoned": ~found}
 
 
 @pytest.mark.parametrize("decoder", ["grand", "orbgrand"])
@@ -388,16 +372,17 @@ def test_run_batch_channel_buffers_match_fresh_arrays(code, decoder):
     for b in (0, 1, 0):
         size = campaign._batch_size(cfg, b)
         got, want = ctx.run_batch(b, size), reference_batch(ctx, b, size)
-        assert len(got[0]) == size
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert len(got) == size and got.dtype.names == tuple(want)
+        for name, w in want.items():
+            assert np.array_equal(got[name], w)
     # A campaign's records replay one trial at a time.
     res = run_point(cfg, 0)
     want = reference_batch(ctx, 1, 44)
     for trial in (TRIAL_BATCH, TRIAL_BATCH + 43):
         rec = run_block(cfg, 0, trial)
         row = trial - TRIAL_BATCH
-        assert (rec.error, rec.bit_errors, rec.queries, rec.abandoned) == tuple(a[row].item() for a in want)
+        assert (rec.bit_errors, rec.queries, rec.abandoned) == tuple(a[row].item() for a in want.values())
+        assert rec.error == (rec.bit_errors > 0)
     assert res.blocks == cfg.max_blocks
 
 

@@ -108,6 +108,20 @@ def test_run_rejects_out_path_shared_with_csv(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("taken", ["json", "csv"])
+def test_run_rejects_output_that_is_a_directory(tmp_path, capsys, monkeypatch, taken):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr("aesfec.cli.run_campaign", no_campaign)
+    out = tmp_path / "x.json"
+    out.with_suffix("." + taken).mkdir()
+    rc = main(["run", "--ebn0", "8.0", "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["x." + taken]
+
+
 def test_run_rejects_key_with_spaces_before_output(tmp_path):
     # 32 characters, but bytes.fromhex would skip the spaces and give 15 bytes.
     out = tmp_path / "out" / "x.json"

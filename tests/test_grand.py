@@ -1,7 +1,7 @@
 """Noise-guessing decoders: pattern orders, query accounting, budgets."""
 
 import itertools
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -80,7 +80,7 @@ class TestGrand:
 
     def test_noiseless_single_query(self):
         out = grand_decode(self.cw, self.oracle)
-        assert out.decoded and not out.abandoned
+        assert not out.abandoned
         assert out.message == self.m
         assert out.queries == 1
         assert out.final_weight == 0
@@ -109,7 +109,7 @@ class TestGrand:
     def test_budget_abandonment(self):
         flip = BitVec.from_array(np.eye(128, dtype=np.uint8)[100])
         out = grand_decode(self.cw ^ flip, self.oracle, max_queries=50)
-        assert out.abandoned and not out.decoded
+        assert out.abandoned
         assert out.message is None
         assert out.queries == 50
         assert out.final_weight is None
@@ -263,30 +263,75 @@ def logistic_flip_bits(ranked, perm):
     return flips
 
 
+def position_set(v):
+    """A Hamming-order pattern word as the sorted tuple of 1 + each position it flips."""
+    out = []
+    while v:
+        out.append((v & -v).bit_length())
+        v &= v - 1
+    return tuple(out)
+
+
+def hamming_store_cuts(n):
+    """(patterns checked, cuts between the store reads) for n."""
+    if n <= 12:
+        return 1 << n, sorted({0, 1 << n, *np.random.default_rng(n).integers(0, 1 << n, 6).tolist()})
+    # n = 128 through weight 3, then the first 2^16 sets of weight 4, cut
+    # inside classes and across the 3-to-4 boundary.
+    w3 = sum(comb(n, w) for w in range(4))
+    return w3 + (1 << 16), [0, 1, 129, 5000, w3 - 7, w3 + 9, w3 + 4000, w3 + (1 << 16)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 128])
+def test_hamming_store_matches_reference(n):
+    count, cuts = hamming_store_cuts(n)
+    store = grand._HammingPatterns(n)
+    want = [position_set(v) for v in itertools.islice(hamming_order_patterns(n), count)]
+    got = []
+    lengths = []
+    for a, b in zip(cuts, cuts[1:]):
+        got += [tuple(int(r) for r in row if r) for row in store.ranks(a, b)]
+        lengths.append(len(store._sets))
+    assert got == want
+    assert [store.weight(j) for j in range(count)] == [len(p) for p in want]
+    if count > 128:
+        assert len(set(lengths)) >= 3  # the store grew step by step
+
+
 @pytest.mark.parametrize("cache_bytes", [8 << 20, 0])
 @pytest.mark.parametrize("n", range(1, 13))
-def test_hamming_masks_match_reference(n, cache_bytes, monkeypatch):
-    # cache_bytes = 0 keeps no class whole, so every class is built
-    # piecewise from the one below it.
-    monkeypatch.setattr(grand, "_WEIGHT_CACHE_BYTES", cache_bytes)
-    masks = grand._HammingMasks(one_bit_masks(n))
-    want = hamming_masks_reference(hamming_order_patterns(n), n)
-    cuts = sorted({0, 1 << n, *np.random.default_rng(n).integers(0, 1 << n, 6).tolist()})
-    got = np.concatenate([masks.masks(a, b) for a, b in zip(cuts, cuts[1:])])
-    assert np.array_equal(got, want)
-    assert [masks.weight(j) for j in range(1 << n)] == [bin(v).count("1") for v in hamming_order_patterns(n)]
+def test_hamming_masks_match_reference(n, cache_bytes):
+    # The pattern masks as guess builds them from the store: the one-bit
+    # masks below a zero row, XORed by each row's position set in the
+    # lanes of _xor_outer. cache_bytes = 0 reads an empty store, which
+    # grows at the reads; otherwise the store first takes as many rows as
+    # cache_bytes holds (all 2^n here), and the reads only slice it.
+    store = grand._HammingPatterns(n)
+    if cache_bytes:
+        store.ranks(0, min(1 << n, cache_bytes // (n * store._sets.itemsize)))
+    grown = len(store._sets)
+    table = grand._with_zero_row(one_bit_masks(n))
+    table = table.view(f"u{gcd(table.shape[1], 8)}")
+    _, cuts = hamming_store_cuts(n)
+    got = []
+    for a, b in zip(cuts, cuts[1:]):
+        ranks = store.ranks(a, b)
+        # A leading 0 names the zero row, so a read of only the empty
+        # set still has a column to gather.
+        index = np.hstack([np.zeros((len(ranks), 1), dtype=ranks.dtype), ranks])
+        got.append(grand._xor_gather(table, index).view(np.uint8))
+    assert np.array_equal(np.concatenate(got), hamming_masks_reference(hamming_order_patterns(n), n))
+    assert [store.weight(j) for j in range(1 << n)] == [bin(v).count("1") for v in hamming_order_patterns(n)]
+    assert (len(store._sets) == grown) == bool(cache_bytes)
 
 
-def test_hamming_masks_n128_cross_from_kept_to_built_classes():
-    # Weights 0-3 are kept whole at n = 128; weight 4 is built piecewise.
-    n = 128
-    w3 = sum(comb(n, w) for w in range(4))
-    count = w3 + (1 << 16)
-    want = hamming_masks_reference(itertools.islice(hamming_order_patterns(n), count), n)
-    masks = grand._HammingMasks(one_bit_masks(n))
-    cuts = [0, 1, 129, 5000, w3 - 7, w3 + 9, w3 + 4000, count]
-    got = np.concatenate([masks.masks(a, b) for a, b in zip(cuts, cuts[1:])])
-    assert np.array_equal(got, want)
+def test_hamming_store_grows_only_as_far_as_the_search():
+    # 9,000 queries end early in weight 3 (341,376 sets at n = 128).
+    grand._hamming_patterns.cache_clear()
+    oracle = SparseOracle(PARAMS, 10**6)
+    found, _, queries = guess(np.zeros((2, PARAMS.nbytes), dtype=np.uint8), oracle, 9000)
+    assert not found.any() and queries.tolist() == [9000, 9000]
+    assert 9000 <= len(grand._hamming_patterns(PARAMS.n)._sets) < 2 * 9000
 
 
 @pytest.mark.parametrize("n, count", [(1, 2), (4, 16), (9, 512), (12, 4096), (128, 3000)])
@@ -397,7 +442,7 @@ def test_guess_batch_matches_one_row_decoders_and_reference(case, soft, ebn0, bu
         else:
             out = grand_decode(BitVec.from_bytes(words[r].tobytes(), params.n), oracle, budget)
             ref = reference_search(oracle, words[r], ref_flips)
-        assert (bool(found[r]), int(queries[r])) == (ref[0], ref[2]) == (out.decoded, out.queries)
+        assert (bool(found[r]), int(queries[r])) == (ref[0], ref[2]) == (not out.abandoned, out.queries)
         if found[r]:
             assert np.array_equal(blocks[r], ref[1])
             assert split(BitVec.from_bytes(blocks[r].tobytes(), params.n), params.k)[0] == out.message
@@ -493,7 +538,7 @@ def test_guess_with_tied_reliabilities_matches_one_row_decoders_and_reference(ca
     for r in range(rows):
         out = orbgrand_decode(SoftWord(samples=y[r], llrs=np.copysign(rel[r], llrs[r]), sigma=sigma), oracle, budget)
         ref = reference_search(oracle, words[r], logistic_flip_bits(ranked, np.argsort(np.abs(rel[r]), kind="stable")))
-        assert (bool(found[r]), int(queries[r])) == (ref[0], ref[2]) == (out.decoded, out.queries)
+        assert (bool(found[r]), int(queries[r])) == (ref[0], ref[2]) == (not out.abandoned, out.queries)
         if found[r]:
             assert np.array_equal(blocks[r], ref[1])
 
