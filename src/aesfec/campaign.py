@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import operator
 import pickle
 import struct
 import time
@@ -85,6 +86,14 @@ class CampaignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ebn0_grid_db", tuple(float(x) for x in self.ebn0_grid_db))
+        # Plain ints, so that equal configs have one canonical JSON (1e6 is
+        # not 10**6 there, and numpy integers are not JSON at all).
+        for name in ("n", "k", "max_queries", "min_block_errors", "max_blocks", "master_seed", "rlc_seed"):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, value)
         if self.code_kind not in CODE_KINDS:
             raise ValueError(f"code_kind must be one of {CODE_KINDS}, got {self.code_kind!r}")
         if self.decoder_kind not in DECODER_KINDS:

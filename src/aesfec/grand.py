@@ -46,21 +46,21 @@ the word y ^ e built (from the one-bit masks), and decode_batch returns
 its block. grand_decode and orbgrand_decode are one-row calls into the
 core.
 
-Words are packed (np.packbits layout). Both orders are per-n stores of
-1-based position or rank sets, built with numpy, lazily, as far as the
-searches reach: a Hamming weight class one top position at a time from
-the class below it, and the logistic order one rank sum at a time from
-smaller sets of distinct ranks. The python generators
+Words are packed (np.packbits layout). Patterns come from one kind of
+per-n store, _Patterns, of 1-based position or rank sets, which takes
+numpy blocks from its order's generator as far as the searches reach and
+records each set's size as it stacks them. _hamming_blocks yields a
+Hamming weight class one top position at a time from the class below it;
+_logistic_blocks yields the sets of one rank sum and one size at a time,
+built from smaller sets of distinct ranks. The python generators
 hamming_order_patterns and logistic_order_patterns are the references
-they are tested against.
+the stores are tested against.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb, gcd
 
 import numpy as np
@@ -163,114 +163,96 @@ class DecodeOutcome:
         return self.message is None
 
 
-class _HammingPatterns:
-    """Per-n store of position sets in Hamming order, grown on demand.
+class _Patterns:
+    """Per-n store of 1-based position or rank sets in one search order,
+    taken from the order's block generator as far as the searches reach.
 
-    Pattern j is row j of an array: 1 + its flipped positions, ascending,
-    padded with zeros. Increasing integer value within a weight class is
-    colex order: rows C(t, w) .. C(t + 1, w) - 1 of class w are the first
-    C(t, w - 1) rows of class w - 1, each plus the top position t. The store
-    grows one top position at a time, and at least doubles whenever a
-    search reaches past its end.
+    Pattern j is row j of an array: its set ascending, padded with zeros,
+    so a row's sum is its rank sum; sizes[j] is its set size. Every block
+    holds sets of one size, so sizes is known as the blocks are stacked.
+    The store at least doubles whenever a search reaches past its end.
     """
 
-    def __init__(self, n):
-        # Index of the first pattern of each weight class, then 2^n.
-        self.starts = list(accumulate((comb(n, w) for w in range(n + 1)), initial=0))
-        self._sets = np.zeros((1, 0), dtype=np.min_scalar_type(n))  # the empty set
-        self._t = 0  # the next top position of the class being built
-
-    def weight(self, index):
-        return bisect_right(self.starts, index) - 1
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self._sets = next(blocks)  # the empty set
+        self.sizes = np.zeros(1, dtype=self._sets.dtype)
 
     def ranks(self, i0, i1):
-        """Rows i0 .. i1 - 1, cut to the weight of the last, the widest."""
+        """Rows i0 .. i1 - 1, cut to the largest set among them."""
         if len(self._sets) < i1:
-            self._grow(max(i1, 2 * len(self._sets), 64))
-        return self._sets[i0:i1, : self.weight(i1 - 1)]
-
-    def _grow(self, count):
-        parts = [self._sets]
-        have = len(self._sets)
-        while have < min(count, self.starts[-1]):
-            w = self.weight(have)
-            if have == self.starts[w]:
-                # Class w - 1 is whole: stack it, as class w is built from it.
-                parts = [_stacked(parts)]
-                self._t = w - 1
-            lo = self.starts[w - 1]
-            block = np.empty((comb(self._t, w - 1), w), dtype=parts[0].dtype)
-            block[:, :-1] = parts[0][lo : lo + len(block), : w - 1]
-            block[:, -1] = self._t + 1
-            parts.append(block)
-            have += len(block)
-            self._t += 1
-        self._sets = _stacked(parts)
+            count = max(i1, 2 * len(self._sets), 64)
+            parts, held = [self._sets], len(self._sets)
+            for block in self._blocks:
+                parts.append(block)
+                held += len(block)
+                if held >= count:
+                    break
+            self._sets = _stacked(parts)
+            widths = np.array([p.shape[1] for p in parts[1:]], dtype=self.sizes.dtype)
+            self.sizes = np.concatenate([self.sizes, np.repeat(widths, [len(p) for p in parts[1:]])])
+        return self._sets[i0:i1, : self.sizes[i0:i1].max()]
 
 
-class _LogisticPatterns:
-    """Per-n store of rank sets in logistic order, grown on demand.
+def _hamming_blocks(n):
+    """Position sets in Hamming order, in blocks of one weight and top position.
 
-    Pattern j is row j of a uint16 array: its ranks ascending, padded with
-    zeros, so a row's sum is its rank sum. The store is built with numpy,
-    one rank sum at a time, and at least doubles whenever a search reaches
-    past its end; each growth writes one new array. The sets of m ranks
-    with sum w are memoised per (w, m) and built in one array from the
-    sets of m - 1 ranks: their first ranks repeated, then one add.
+    Increasing integer value within a weight class is colex order: rows
+    C(t, w) .. C(t + 1, w) - 1 of class w are the first C(t, w - 1) rows of
+    class w - 1, each plus the top position t, so the generator keeps the
+    class below whole while it builds the next.
     """
+    dtype = np.min_scalar_type(n)
+    below = np.zeros((1, 0), dtype=dtype)  # class 0: the empty set
+    yield below
+    for w in range(1, n + 1):
+        built = []
+        for t in range(w - 1, n):
+            block = np.empty((comb(t, w - 1), w), dtype=dtype)
+            block[:, :-1] = below[: len(block)]
+            block[:, -1] = t + 1
+            built.append(block)
+            yield block
+        below = np.concatenate(built)
 
-    def __init__(self, n):
-        self.n = n
-        self._ranks = np.zeros((1, 0), dtype=np.uint16)  # the empty set
-        self._sum = 0  # largest rank sum in the store
-        self._sets = {}
 
-    def weight(self, index):
-        return int(self.ranks(index, index + 1).sum())
+def _logistic_blocks(n):
+    """Rank sets in logistic order, in blocks of one rank sum and set size.
 
-    def ranks(self, i0, i1):
-        """Rows i0 .. i1 - 1, cut to the widest rank set among them."""
-        if len(self._ranks) < i1:
-            self._grow(max(i1, 2 * len(self._ranks), 64))
-        rows = self._ranks[i0:i1]
-        return rows[:, : int(np.count_nonzero(rows, axis=1).max(initial=0))]
+    The sets of m ranks with sum w are memoised per (w, m) and built in one
+    array from the sets of m - 1 ranks: their first ranks repeated, then
+    one add.
+    """
+    dtype = np.min_scalar_type(n)
 
-    def _grow(self, count):
-        parts = [self._ranks]
-        have = len(self._ranks)
-        while have < count and self._sum < self.n * (self.n + 1) // 2:
-            self._sum += 1
-            m = 1
-            while m * (m + 1) // 2 <= self._sum:
-                parts.append(self._distinct(self._sum, m))
-                have += len(parts[-1])
-                m += 1
-        self._ranks = _stacked(parts)
+    @functools.cache
+    def distinct(w, m):
+        # (count, m) sets of m distinct ranks in 1..n summing to w, in
+        # lexicographic order (what _distinct_parts yields).
+        if m == 1:
+            return np.array([[w]] if w <= n else np.zeros((0, 1)), dtype=dtype)
+        # With first rank a, the other m - 1 ranks, each minus a, are a set
+        # summing to w - m a whose largest rank is n - a at most. That bound
+        # can only bite where such a set may reach past it: its largest rank
+        # is at most its sum less 1 + 2 + ... + (m - 2).
+        firsts, rests = [], []
+        for a in range(1, (w - m * (m - 1) // 2) // m + 1):
+            rest = distinct(w - m * a, m - 1)
+            if w - m * a - (m - 1) * (m - 2) // 2 > n - a:
+                rest = rest[rest[:, -1] <= n - a]
+            firsts.append(a)
+            rests.append(rest)
+        sets = np.empty((sum(len(r) for r in rests), m), dtype=dtype)
+        sets[:, 0] = np.repeat(firsts, [len(r) for r in rests])
+        np.add(np.concatenate(rests), sets[:, :1], out=sets[:, 1:])
+        return sets
 
-    def _distinct(self, w, m):
-        """(count, m) sets of m distinct ranks in 1..n summing to w, in
-        lexicographic order (what _distinct_parts yields)."""
-        if (w, m) not in self._sets:
-            if m == 1:
-                sets = np.array([[w]] if w <= self.n else np.zeros((0, 1)), dtype=np.uint16)
-            else:
-                # With first rank a, the other m - 1 ranks, each minus a,
-                # are a set summing to w - m a whose largest rank is n - a
-                # at most. That bound can only bite where such a set may
-                # reach past it: its largest rank is at most its sum less
-                # 1 + 2 + ... + (m - 2).
-                firsts, rests = [], []
-                for a in range(1, (w - m * (m - 1) // 2) // m + 1):
-                    rest = self._distinct(w - m * a, m - 1)
-                    if w - m * a - (m - 1) * (m - 2) // 2 > self.n - a:
-                        rest = rest[rest[:, -1] <= self.n - a]
-                    firsts.append(a)
-                    rests.append(rest)
-                sets = np.empty((sum(len(r) for r in rests), m), dtype=np.uint16)
-                sets[:, 0] = np.repeat(firsts, [len(r) for r in rests])
-                np.add(np.concatenate(rests), sets[:, :1], out=sets[:, 1:])
-            self._sets[w, m] = sets
-        return self._sets[w, m]
+    yield np.zeros((1, 0), dtype=dtype)  # the empty set
+    for w in range(1, n * (n + 1) // 2 + 1):
+        m = 1
+        while m * (m + 1) // 2 <= w:
+            yield distinct(w, m)
+            m += 1
 
 
 def _stacked(parts):
@@ -283,8 +265,10 @@ def _stacked(parts):
     return out
 
 
-_hamming_patterns = functools.cache(_HammingPatterns)
-_logistic_patterns = functools.cache(_LogisticPatterns)
+@functools.cache
+def _patterns(n, blocks):
+    """The store of one order (_hamming_blocks or _logistic_blocks) for n."""
+    return _Patterns(blocks(n))
 
 
 def _xor_outer(patterns, rows):
@@ -364,11 +348,11 @@ def guess(words, oracle, max_queries, reliability=None):
     columns = _with_zero_row(oracle.image_columns())
     flip_words = _with_zero_row(one_bit_masks(n))
     if reliability is None:
-        store = _hamming_patterns(n)
+        store = _patterns(n, _hamming_blocks)
         lane = f"u{gcd(image.shape[1], 8)}"  # pattern images are built in _xor_outer's lanes
         image, columns = image.view(lane), columns.view(lane)
     else:
-        store = _logistic_patterns(n)
+        store = _patterns(n, _logistic_blocks)
         rel = np.asarray(reliability).take(active, axis=0)
         ranked = 0  # ranks 1 .. ranked are resolved in every row
     space = min(max_queries, 1 << n)
@@ -419,15 +403,19 @@ def guess(words, oracle, max_queries, reliability=None):
     return found, blocks, queries
 
 
-def _outcome(oracle, patterns, result):
+def _outcome(oracle, blocks_of, weigh, result):
+    """One row's DecodeOutcome; weigh maps the accepted set of the order
+    blocks_of to its final_weight."""
     found, blocks, queries = (a[0] for a in result)
+    queries = int(queries)
     if not found:
-        return DecodeOutcome(message=None, queries=int(queries), final_weight=None)
+        return DecodeOutcome(message=None, queries=queries, final_weight=None)
     full = BitVec.from_bytes(blocks.tobytes(), oracle.params.n)
+    accepted = _patterns(oracle.params.n, blocks_of).ranks(queries - 1, queries)[0]
     return DecodeOutcome(
         message=split(full, oracle.params.k)[0],
-        queries=int(queries),
-        final_weight=patterns.weight(int(queries) - 1),
+        queries=queries,
+        final_weight=int(weigh(accepted)),
     )
 
 
@@ -436,7 +424,7 @@ def grand_decode(y, oracle, max_queries=DEFAULT_MAX_QUERIES):
     if len(y) != oracle.params.n:
         raise ValueError(f"expected {oracle.params.n}-bit word, got {len(y)}")
     words = np.frombuffer(y.to_bytes(), dtype=np.uint8)[None]
-    return _outcome(oracle, _hamming_patterns(oracle.params.n), guess(words, oracle, max_queries))
+    return _outcome(oracle, _hamming_blocks, len, guess(words, oracle, max_queries))
 
 
 def orbgrand_decode(word, oracle, max_queries=DEFAULT_MAX_QUERIES):
@@ -447,4 +435,4 @@ def orbgrand_decode(word, oracle, max_queries=DEFAULT_MAX_QUERIES):
         raise ValueError(f"expected {oracle.params.n}-bit word, got {len(word)}")
     words = np.packbits(hard_bits(word.samples))[None]
     result = guess(words, oracle, max_queries, reliability=np.abs(word.llrs)[None])
-    return _outcome(oracle, _logistic_patterns(oracle.params.n), result)
+    return _outcome(oracle, _logistic_blocks, np.sum, result)

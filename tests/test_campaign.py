@@ -73,11 +73,22 @@ class TestConfig:
             dict(max_blocks=-1),
             dict(aes_key_hex="zz"),
             dict(rlc_seed=-1),
+            dict(max_queries=1e6),
+            dict(max_blocks=1e4),
+            dict(n="128"),
+            dict(master_seed=1.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             CampaignConfig(**kwargs)
+
+    def test_numpy_integers_give_the_int_config(self):
+        ints = dict(n=128, k=116, max_queries=300, min_block_errors=5, max_blocks=512, master_seed=7, rlc_seed=1)
+        cfg = CampaignConfig(ebn0_grid_db=(8.0,), **{name: np.int64(v) for name, v in ints.items()})
+        assert all(type(getattr(cfg, name)) is int for name in ints)
+        want = run_campaign(CampaignConfig(ebn0_grid_db=(8.0,), **ints)).canonical_json()
+        assert run_campaign(cfg).canonical_json() == want
 
     def test_rlc_allows_other_lengths(self):
         cfg = CampaignConfig(code_kind="rlc", n=64, k=52)

@@ -285,15 +285,17 @@ def hamming_store_cuts(n):
 @pytest.mark.parametrize("n", [*range(1, 13), 128])
 def test_hamming_store_matches_reference(n):
     count, cuts = hamming_store_cuts(n)
-    store = grand._HammingPatterns(n)
+    store = grand._Patterns(grand._hamming_blocks(n))
     want = [position_set(v) for v in itertools.islice(hamming_order_patterns(n), count)]
     got = []
     lengths = []
     for a, b in zip(cuts, cuts[1:]):
-        got += [tuple(int(r) for r in row if r) for row in store.ranks(a, b)]
+        ranks = store.ranks(a, b)
+        assert ranks.shape[1] == max(len(p) for p in want[a:b])  # no padding column
+        got += [tuple(int(r) for r in row if r) for row in ranks]
         lengths.append(len(store._sets))
     assert got == want
-    assert [store.weight(j) for j in range(count)] == [len(p) for p in want]
+    assert store.sizes[:count].tolist() == [len(p) for p in want]
     if count > 128:
         assert len(set(lengths)) >= 3  # the store grew step by step
 
@@ -306,50 +308,65 @@ def test_hamming_masks_match_reference(n, cache_bytes):
     # lanes of _xor_outer. cache_bytes = 0 reads an empty store, which
     # grows at the reads; otherwise the store first takes as many rows as
     # cache_bytes holds (all 2^n here), and the reads only slice it.
-    store = grand._HammingPatterns(n)
+    store = grand._Patterns(grand._hamming_blocks(n))
     if cache_bytes:
         store.ranks(0, min(1 << n, cache_bytes // (n * store._sets.itemsize)))
     grown = len(store._sets)
     table = grand._with_zero_row(one_bit_masks(n))
     table = table.view(f"u{gcd(table.shape[1], 8)}")
     _, cuts = hamming_store_cuts(n)
+    weights = [bin(v).count("1") for v in hamming_order_patterns(n)]
     got = []
     for a, b in zip(cuts, cuts[1:]):
         ranks = store.ranks(a, b)
+        assert ranks.shape[1] == max(weights[a:b])  # no padding column
         # A leading 0 names the zero row, so a read of only the empty
         # set still has a column to gather.
         index = np.hstack([np.zeros((len(ranks), 1), dtype=ranks.dtype), ranks])
         got.append(grand._xor_gather(table, index).view(np.uint8))
     assert np.array_equal(np.concatenate(got), hamming_masks_reference(hamming_order_patterns(n), n))
-    assert [store.weight(j) for j in range(1 << n)] == [bin(v).count("1") for v in hamming_order_patterns(n)]
+    assert store.sizes[: 1 << n].tolist() == weights
     assert (len(store._sets) == grown) == bool(cache_bytes)
 
 
 def test_hamming_store_grows_only_as_far_as_the_search():
     # 9,000 queries end early in weight 3 (341,376 sets at n = 128).
-    grand._hamming_patterns.cache_clear()
+    grand._patterns.cache_clear()
     oracle = SparseOracle(PARAMS, 10**6)
     found, _, queries = guess(np.zeros((2, PARAMS.nbytes), dtype=np.uint8), oracle, 9000)
     assert not found.any() and queries.tolist() == [9000, 9000]
-    assert 9000 <= len(grand._hamming_patterns(PARAMS.n)._sets) < 2 * 9000
+    assert 9000 <= len(grand._patterns(PARAMS.n, grand._hamming_blocks)._sets) < 2 * 9000
+
+
+def test_logistic_store_grows_only_as_far_as_the_search():
+    # 3,000 queries end in rank sum 33 (the largest is 8,256 at n = 128).
+    grand._patterns.cache_clear()
+    oracle = SparseOracle(PARAMS, 10**6)
+    rel = np.abs(np.random.default_rng(3).standard_normal((2, PARAMS.n)))
+    found, _, queries = guess(np.zeros((2, PARAMS.nbytes), dtype=np.uint8), oracle, 3000, reliability=rel)
+    assert not found.any() and queries.tolist() == [3000, 3000]
+    assert 3000 <= len(grand._patterns(PARAMS.n, grand._logistic_blocks)._sets) < 2 * 3000
 
 
 @pytest.mark.parametrize("n, count", [(1, 2), (4, 16), (9, 512), (12, 4096), (128, 3000)])
 def test_logistic_store_matches_reference(n, count):
     # The store starts at 64 patterns and doubles, so n = 4 fits in its
     # first growth.
-    store = grand._LogisticPatterns(n)
+    store = grand._Patterns(grand._logistic_blocks(n))
     want = list(itertools.islice(logistic_order_patterns(n), count))
     cuts = [c for c in (0, 1, 17, 100, 130, 700, 2500) if c < count] + [count]
     got = []
     lengths = []
     for a, b in zip(cuts, cuts[1:]):
-        got += [tuple(int(r) for r in row if r) for row in store.ranks(a, b)]
-        lengths.append(len(store._ranks))
+        ranks = store.ranks(a, b)
+        assert ranks.shape[1] == max(len(p) for p in want[a:b])  # no padding column
+        got += [tuple(int(r) for r in row if r) for row in ranks]
+        lengths.append(len(store._sets))
     assert got == want
     if count > 128:
         assert len(set(lengths)) >= 3  # the store grew step by step
-    assert [store.weight(j) for j in range(count)] == [sum(p) for p in want]
+    assert store._sets[:count].sum(axis=1).tolist() == [sum(p) for p in want]
+    assert store.sizes[:count].tolist() == [len(p) for p in want]
 
 
 class SparseOracle(MembershipOracle):
