@@ -225,21 +225,22 @@ class Aes128:
         return self.schedule.key
 
     @staticmethod
-    def _openssl(ctx, blocks):
+    def _openssl(ctx, blocks, out=None):
         blocks = np.ascontiguousarray(_as_block_batch(blocks))
         # OpenSSL writes straight into a numpy array: update() returns bytes
         # whose allocation slows sharply past about 2^14 blocks per call.
-        # update_into wants room for one block more than it writes, and the
-        # array is fresh on every call, so no result aliases a later one.
-        out = np.empty((len(blocks) + 1, BLOCK_BYTES), dtype=np.uint8)
+        # update_into wants room for one block more than it writes; a fresh
+        # out, the default, never aliases a later result.
+        out = np.empty((len(blocks) + 1, BLOCK_BYTES), dtype=np.uint8) if out is None else out
         ctx.update_into(blocks, out)
         return out[: len(blocks)]
 
     def encrypt_batch(self, blocks):
         return self._openssl(self._enc, blocks)
 
-    def decrypt_batch(self, blocks):
-        return self._openssl(self._dec, blocks)
+    def decrypt_batch(self, blocks, out=None):
+        """out, a C-contiguous (B + 1, 16) uint8 array, receives the plaintexts in its first B rows."""
+        return self._openssl(self._dec, blocks, out)
 
     def encrypt(self, pt):
         return BitVec.from_bytes(self.encrypt_batch(_block_to_batch(pt)).tobytes(), BLOCK_BITS)

@@ -151,6 +151,9 @@ class AesPadOracle(MembershipOracle):
     plaintext as two uint64 lanes and ANDs only the lanes the pad mask
     touches (lane 0 holds positions 0-63, lane 1 positions 64-127), which is
     exact for every k because both sides are viewed the same way.
+
+    accept_images decrypts into a buffer the oracle reuses and masks the pad
+    there; decode_batch's fresh results never alias it or one another.
     """
 
     def __init__(self, params, cipher):
@@ -163,11 +166,19 @@ class AesPadOracle(MembershipOracle):
         # The pad is positions k..127, so it touches the lanes from k // 64 on.
         self._pad_lanes = slice(params.k // 64, 2)
         self._pad_mask = pad_bit_mask(params).view(np.uint64)[self._pad_lanes]
+        self._plain = np.empty((1, 16), dtype=np.uint8)
 
     def decode_batch(self, words):
         pt = self.cipher.decrypt_batch(words)
         ok = ~np.any(pt.view(np.uint64)[:, self._pad_lanes] & self._pad_mask, axis=1)
         return ok, pt
+
+    def accept_images(self, images):
+        rows = len(images)
+        if len(self._plain) <= rows:
+            self._plain = np.empty((max(rows, 2 * len(self._plain)) + 1, 16), dtype=np.uint8)
+        pad = self.cipher.decrypt_batch(images, out=self._plain[: rows + 1]).view(np.uint64)[:, self._pad_lanes]
+        return ~np.any(np.bitwise_and(pad, self._pad_mask, out=pad), axis=1)
 
 
 def aes_encode(m, params, cipher):

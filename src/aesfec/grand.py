@@ -41,10 +41,11 @@ reach: ranks 1 .. R with R at least 8 and at least doubled whenever a
 step names a rank above R, each prefix exactly that of the full stable
 argsort (_least_reliable). Acceptance of an image is acceptance of the
 word it images, so the queries counted, the blocks accepted and the
-budget cut are those of a search over words. Only for a row that hits is
-the word y ^ e built (from the one-bit masks), and decode_batch returns
-its block. grand_decode and orbgrand_decode are one-row calls into the
-core.
+budget cut are those of a search over words. Only for the rows that hit
+is the word y ^ e built (from the one-bit masks), once per call, for one
+decode_batch call. Step arrays are written into buffers reused across
+steps and calls (_scratch), so the process runs one search at a time.
+grand_decode and orbgrand_decode are one-row calls into the core.
 
 Words are packed (np.packbits layout). Patterns come from one kind of
 per-n store, _Patterns, of 1-based position or rank sets, which takes
@@ -60,6 +61,7 @@ the stores are tested against.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -168,15 +170,16 @@ class _Patterns:
     taken from the order's block generator as far as the searches reach.
 
     Pattern j is row j of an array: its set ascending, padded with zeros,
-    so a row's sum is its rank sum; sizes[j] is its set size. Every block
-    holds sets of one size, so sizes is known as the blocks are stacked.
-    The store at least doubles whenever a search reaches past its end.
+    so a row's sum is its rank sum; sizes[j] is its set size. Both orders
+    are runs of sizes that never decrease (Hamming: one; logistic: rank
+    sums), each ending at least as wide as all rows before it; row j's run
+    starts at _starts[j]. The store at least doubles when a search passes its end.
     """
 
     def __init__(self, blocks):
         self._blocks = blocks
         self._sets = next(blocks)  # the empty set
-        self.sizes = np.zeros(1, dtype=self._sets.dtype)
+        self.sizes = self._starts = np.zeros(1, dtype=self._sets.dtype)
 
     def ranks(self, i0, i1):
         """Rows i0 .. i1 - 1, cut to the largest set among them."""
@@ -191,7 +194,13 @@ class _Patterns:
             self._sets = _stacked(parts)
             widths = np.array([p.shape[1] for p in parts[1:]], dtype=self.sizes.dtype)
             self.sizes = np.concatenate([self.sizes, np.repeat(widths, [len(p) for p in parts[1:]])])
-        return self._sets[i0:i1, : self.sizes[i0:i1].max()]
+            starts = np.arange(len(self.sizes), dtype=np.min_scalar_type(len(self.sizes)))
+            starts[1:][self.sizes[1:] >= self.sizes[:-1]] = 0
+            self._starts = np.maximum.accumulate(starts, out=starts)
+        start, width = self._starts[i1 - 1], self.sizes[i1 - 1]
+        if i0 < start:
+            width = max(width, self.sizes[start - 1])
+        return self._sets[i0:i1, :width]
 
 
 def _hamming_blocks(n):
@@ -271,14 +280,13 @@ def _patterns(n, blocks):
     return _Patterns(blocks(n))
 
 
-def _xor_outer(patterns, rows):
-    """(c, L) pattern images XOR (r, L) row images -> (c, r, L), in lanes
-    of the widest unsigned integer that divides the image width.
+def _xor_outer(patterns, rows, out):
+    """(c, L) pattern images XOR (r, L) row images into out, (c, r, L), in
+    lanes of the widest unsigned integer that divides the image width.
 
     XORs a lane at a time: a broadcast XOR whose innermost axis is an
     image's few lanes or bytes runs several times slower.
     """
-    out = np.empty((len(patterns), len(rows), patterns.shape[1]), dtype=patterns.dtype)
     for j in range(patterns.shape[1]):
         np.bitwise_xor(patterns[:, j, None], rows[:, j], out=out[:, :, j])
     return out
@@ -306,12 +314,27 @@ def _least_reliable(rel, count):
     return out
 
 
-def _xor_gather(table, index):
-    """XOR, for each row of index, of the table entries it names."""
-    out = table.take(index[:, 0], axis=0)
-    for col in index.T[1:]:
-        out ^= table.take(col, axis=0)
+def _xor_gather(table, index, out=None):
+    """XOR, for each row of index, of the table entries it names, into out
+    if given (take writes out without a temporary only with mode="clip")."""
+    out = table.take(index[:, 0], axis=0, out=out, mode="clip")
+    if index.shape[1] > 1:
+        entries = _scratch("entries", out.shape, out.dtype)
+        for col in index.T[1:]:
+            out ^= table.take(col, axis=0, out=entries, mode="clip")
     return out
+
+
+_BUFFERS = {}  # role -> buffer for guess's step arrays, grown to the largest one asked of it
+
+
+def _scratch(role, shape, dtype):
+    """An uninitialised array in role's buffer, valid until role's next use."""
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = _BUFFERS.get(role, b"")
+    if len(buf) < nbytes:
+        buf = _BUFFERS[role] = np.empty(max(nbytes, 2 * len(buf)), dtype=np.uint8)
+    return np.ndarray(shape, dtype, buf)
 
 
 def _with_zero_row(columns):
@@ -343,10 +366,8 @@ def guess(words, oracle, max_queries, reliability=None):
     blocks = np.array(blocks, dtype=np.uint8)  # a copy: some oracles hand back their input
     queries = np.ones(len(words), dtype=np.int64)
     active = np.flatnonzero(~found)
-    y = words[active]
-    image = np.ascontiguousarray(oracle.images(y))
+    image = np.ascontiguousarray(oracle.images(words[active]))
     columns = _with_zero_row(oracle.image_columns())
-    flip_words = _with_zero_row(one_bit_masks(n))
     if reliability is None:
         store = _patterns(n, _hamming_blocks)
         lane = f"u{gcd(image.shape[1], 8)}"  # pattern images are built in _xor_outer's lanes
@@ -354,52 +375,59 @@ def guess(words, oracle, max_queries, reliability=None):
     else:
         store = _patterns(n, _logistic_blocks)
         rel = np.asarray(reliability).take(active, axis=0)
+        # Only the rows that search read theirs; min propagates NaN.
+        if rel.size and not rel.min() >= 0:
+            raise ValueError("reliabilities must be nonnegative |LLR|s; a row that searches has a negative or NaN one")
         ranked = 0  # ranks 1 .. ranked are resolved in every row
+    hits = []  # per step with hits: (rows, 1 + the positions each one's pattern flips)
     space = min(max_queries, 1 << n)
     i, c = 1, _FIRST_STEP
     while active.size and i < space:
         c = min(c, max(1, _MAX_WORDS // active.size), space - i)
         ranks = store.ranks(i, i + c)
         # Candidate images are pattern-major: (c, rows, w).
+        cand = _scratch("candidates", (c, *image.shape), image.dtype)
         if reliability is None:
-            cand = _xor_outer(_xor_gather(columns, ranks), image).view(np.uint8)
+            _xor_outer(_xor_gather(columns, ranks, _scratch("patterns", (c, image.shape[1]), image.dtype)), image, cand)
         else:
             need = int(ranks.max(initial=0))
             if need > ranked:
                 # Rank at least 8 and at least double, so that a long
                 # search re-ranks its rows a few times only.
                 ranked = min(n, max(need, 2 * ranked, 8))
-                # order[a, r] is 1 + the position that rank r names in row
+                # order[r, a] is 1 + the position that rank r names in row
                 # a, and 0 for rank 0 (padding): an index into columns
                 # below a zero row.
-                order = np.zeros((len(rel), ranked + 1), dtype=np.intp)
-                order[:, 1:] = 1 + _least_reliable(rel, ranked)
+                order = np.zeros((ranked + 1, len(rel)), dtype=np.intp)
+                order[1:] = 1 + _least_reliable(rel, ranked).T
                 # (ranked + 1, rows, w): entry r, a is the image of what
                 # rank r flips in row a. take and compress here measured
                 # 5-10x faster than the same fancy indexing.
-                rank_images = columns.take(order.T, axis=0)
-            cand = _xor_gather(rank_images, ranks)
+                rank_images = _scratch("rank images", (ranked + 1, *image.shape), columns.dtype)
+                columns.take(order, axis=0, out=rank_images, mode="clip")
+            _xor_gather(rank_images, ranks, cand)
             cand ^= image
-        ok = oracle.accept_images(cand.reshape(c * len(active), -1)).reshape(c, len(active))
+        ok = oracle.accept_images(cand.view(np.uint8).reshape(c * len(active), -1)).reshape(c, len(active))
         hit = ok.any(axis=0)
         if hit.any():
             rows = np.flatnonzero(hit)
             col = ok[:, rows].argmax(axis=0)
-            # Only hits are built as words, y ^ e, for decode_batch's blocks:
-            # 1 + the positions each hit's pattern flips, then their masks.
-            flips = ranks[col] if reliability is None else order[rows[:, None], ranks[col]]
-            e = np.bitwise_xor.reduce(flip_words.take(flips, axis=0), axis=1)
             done = active[rows]
             found[done] = True
             queries[done] = i + 1 + col
-            blocks[done] = oracle.decode_batch(y[rows] ^ e)[1]
+            hits.append((done, ranks[col] if reliability is None else order[ranks[col], rows[:, None]]))
             keep = ~hit
-            active, y, image = active[keep], y[keep], image[keep]
+            active, image = active[keep], image[keep]
             if reliability is not None:
-                order, rank_images, rel = order[keep], rank_images.compress(keep, axis=1), rel[keep]
+                order, rank_images, rel = order[:, keep], rank_images.compress(keep, axis=1), rel[keep]
         i += c
         c *= _GROWTH
     queries[active] = i
+    if hits:
+        done = np.concatenate([d for d, _ in hits])
+        flips = _stacked([f for _, f in hits])
+        e = np.bitwise_xor.reduce(_with_zero_row(one_bit_masks(n)).take(flips, axis=0), axis=1)
+        blocks[done] = oracle.decode_batch(words[done] ^ e)[1]
     return found, blocks, queries
 
 

@@ -343,12 +343,18 @@ class TestPairing:
         assert g.mean_queries == o.mean_queries == 1.0
 
 
-@pytest.mark.parametrize("workload, seed", [("tail", 1), ("deep", 1), ("deep", 1017)], ids=["tail", "deep", "deep-1017"])
+@pytest.mark.parametrize(
+    "workload, seed",
+    [("tail", 1), ("tail", 1017), ("deep", 1), ("deep", 1017)],
+    ids=["tail", "tail-1017", "deep", "deep-1017"],
+)
 def test_benchmark_campaigns_match_recorded_hashes(perfbench_run, workload, seed):
     # The campaigns are a pure function of their configs, so a change that
     # alters what is simulated (a query count, an accepted block, a budget
     # cut) changes a hash recorded for the benchmark. 1017 is the
-    # benchmark's held-out seed.
+    # benchmark's held-out seed. tail's steps are small and deep's reach
+    # _MAX_WORDS candidates, so the two cover the search core's smallest
+    # and largest steps.
     with open(perfbench_run.RECORD) as f:
         expected = json.load(f)["expected_sha256"]
     for label, cfg in perfbench_run.workloads.campaigns(workload, seed):

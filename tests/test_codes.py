@@ -115,26 +115,51 @@ class TestAesCode:
         assert np.array_equal(pt1, pt2[::-1])
 
 
-@pytest.mark.parametrize("k", [1, 63, 64, 65, 116, 127, 128])
-def test_aes_lane_pad_check_matches_bytewise_reference(k):
-    params = CodeParams(n=128, k=k)
-    cipher = Aes128("000102030405060708090a0b0c0d0e0f")
-    oracle = AesPadOracle(params, cipher)
-    rng = np.random.default_rng(k)
+def crafted_plaintexts(params, rng):
+    """600 plaintexts: rows 0-199 keep random pads, rows 200-399 get a zero
+    pad and rows 400-599 a zero pad but for one bit, which runs over every
+    pad position."""
     mask = pad_bit_mask(params)
     pt = rng.integers(0, 256, size=(600, 16), dtype=np.uint8)
-    # Rows 0-199 keep random pads, rows 200-399 get a zero pad and rows
-    # 400-599 a zero pad but for one bit, which runs over every pad position.
     pt[200:] &= ~mask
     pad_positions = np.flatnonzero(np.unpackbits(mask))
     if pad_positions.size:
         for row, pos in zip(range(400, 600), np.resize(pad_positions, 200)):
             pt[row, pos >> 3] |= 0x80 >> (pos & 7)
+    return pt
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 116, 127, 128])
+def test_aes_lane_pad_check_matches_bytewise_reference(k):
+    params = CodeParams(n=128, k=k)
+    cipher = Aes128("000102030405060708090a0b0c0d0e0f")
+    oracle = AesPadOracle(params, cipher)
+    mask = pad_bit_mask(params)
+    pt = crafted_plaintexts(params, np.random.default_rng(k))
     ok, got = oracle.decode_batch(cipher.encrypt_batch(pt))
     assert np.array_equal(got, pt)
     assert np.array_equal(ok, ~np.any(pt & mask, axis=1))
     assert ok[200:400].all()
     assert ok[400:].all() if k == 128 else not ok[400:].any()
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 116, 127, 128])
+def test_aes_accept_images_matches_decode_batch(k):
+    # accept_images decrypts into a buffer the oracle keeps between calls.
+    # Later calls, on fewer and then more words than the buffer holds, must
+    # neither change an earlier answer nor a block decode_batch returned.
+    params = CodeParams(n=128, k=k)
+    cipher = Aes128("000102030405060708090a0b0c0d0e0f")
+    oracle = AesPadOracle(params, cipher)
+    rng = np.random.default_rng(k)
+    words = cipher.encrypt_batch(crafted_plaintexts(params, rng))
+    first = oracle.accept_images(oracle.images(words))
+    ok, blocks = oracle.decode_batch(words)
+    assert np.array_equal(first, ok)
+    kept_first, kept_blocks = first.copy(), blocks.copy()
+    for other in (words[::-1][:100], cipher.encrypt_batch(crafted_plaintexts(params, rng)[np.arange(1800) % 600])):
+        assert np.array_equal(oracle.accept_images(oracle.images(other)), oracle.decode_batch(other)[0])
+        assert np.array_equal(first, kept_first) and np.array_equal(blocks, kept_blocks)
 
 
 class TestRlc:

@@ -560,6 +560,33 @@ def test_guess_with_tied_reliabilities_matches_one_row_decoders_and_reference(ca
             assert np.array_equal(blocks[r], ref[1])
 
 
+def test_guess_rows_match_the_same_rows_alone_as_buffers_change_shape():
+    # 256-row low-SNR batches with a 10^4 budget reach steps of _MAX_WORDS
+    # candidates. The calls alternate between GRAND and ORBGRAND and between
+    # codes whose images differ: 2-byte rlc syndromes in one uint16 lane,
+    # 16-byte AES words and rlc136 syndromes in two uint64 lanes (ORBGRAND
+    # builds all of them in bytes), and 17-byte rlc136 words. So each call
+    # reuses step buffers that the call before it shaped and typed
+    # otherwise, and every row must come out as it does alone.
+    rng = np.random.default_rng(1017)
+    calls = []
+    for case, ebn0 in (("aes", 3.5), ("rlc", 3.5), ("rlc136", 7.0)):
+        oracle = CORE_CASES[case][0]
+        sigma = sigma_from_ebn0(ebn0, oracle.params.rate)
+        y = awgn_samples(modulate(transmitted_bits(oracle, rng, 256)), sigma, rng)
+        words = np.packbits(hard_bits(y), axis=1)
+        calls += [(oracle, words, None), (oracle, words, np.abs(llr_from_samples(y, sigma)))]
+    budget = 10**4
+    for oracle, words, rel in calls:
+        found, blocks, queries = guess(words, oracle, budget, rel)
+        assert queries.max() == budget and found.any()
+        for r in range(len(words)):
+            alone = guess(words[r : r + 1], oracle, budget, None if rel is None else rel[r : r + 1])
+            assert (found[r], queries[r]) == (alone[0][0], alone[2][0])
+            if found[r]:
+                assert np.array_equal(blocks[r], alone[1][0])
+
+
 def test_guess_rejects_bad_input():
     oracle = CORE_CASES["rlc"][0]
     words = np.zeros((3, PARAMS.nbytes), dtype=np.uint8)
@@ -569,5 +596,15 @@ def test_guess_rejects_bad_input():
         guess(words[:, :-1], oracle, 10)
     with pytest.raises(ValueError, match="reliabilities"):
         guess(words, oracle, 10, np.ones((3, PARAMS.n - 1)))
+    # Rows of ones are not codewords, so they search and read their
+    # reliabilities.
+    searching = np.ones((3, PARAMS.nbytes), dtype=np.uint8)
+    with pytest.raises(ValueError, match="negative or NaN"):
+        guess(searching[:2], oracle, 50, np.full((2, PARAMS.n), np.nan))
+    for bad in (np.nan, -1.0, -np.inf):
+        rel = np.ones((3, PARAMS.n))
+        rel[1, 7] = bad
+        with pytest.raises(ValueError, match="negative or NaN"):
+            guess(searching, oracle, 10, rel)
     with pytest.raises(ValueError, match="max_queries"):
         grand_decode(BitVec(0, PARAMS.n), oracle, max_queries=0)
