@@ -52,15 +52,6 @@ class BitVec:
         return cls(value, length)
 
     @classmethod
-    def from_hex(cls, s, length):
-        """Parse a hex string of exactly ceil(length / 4) digits."""
-        digits = (length + 3) // 4
-        if len(s) != digits:
-            raise ValueError(f"expected {digits} hex digits for {length} bits, got {len(s)}")
-        value = int(s, 16) if digits else 0
-        return cls(value, length)
-
-    @classmethod
     def from_bytes(cls, data, length):
         nbytes = (length + 7) // 8
         if len(data) != nbytes:

@@ -13,15 +13,18 @@ record concatenated in batch order, so batches computed past it never
 change which trials are counted. Abandoned blocks (query budget exhausted)
 count as block errors with ceil(k/2) message bit errors.
 
-With workers == 1 a campaign runs in the calling process. With more, it
-runs on that many forked worker processes (_Executor): worker r of W runs
-batches r, r + W, r + 2W, ... of each point, points in order, and sends
-each finished batch's records to the parent, which puts them back in
-batch order. As soon as the ordered record holds a point's stopping
-trial, the parent publishes the point's batch count in shared memory;
-each worker reads it before its next batch and moves on to the next
-point, so no worker waits for another and the work past a stopping trial
-is a batch or two per worker.
+A campaign builds its working state once (_Simulation: the oracle over
+its cipher or code, the message mask, the per-point sigmas); batches
+draw their channel arrays into per-process scratch buffers. With
+workers == 1 the campaign runs on that state in the calling process.
+With more, it runs on that many forked worker processes (_Executor),
+which inherit the state: worker r of W runs batches r, r + W, r + 2W,
+... of each point, points in order, and sends each finished batch's
+records to the parent, which puts them back in batch order. As soon as
+the ordered record holds a point's stopping trial, the parent publishes
+the point's batch count in shared memory; each worker reads it before
+its next batch and moves on to the next point, so no worker waits for
+another and the work past a stopping trial is a batch or two per worker.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .aes_core import DEFAULT_KEY_HEX, Aes128, key_from_hex
 from .channel import ChannelPoint, awgn_samples, hard_bits, llr_from_samples, modulate, sigma_from_ebn0
-from .codes import AesPadOracle, CodeParams, RlcOracle, message_bit_mask, rlc_generate
+from .codes import AesPadOracle, CodeParams, RlcOracle, message_bit_mask, rlc_generate, scratch
 from .grand import DEFAULT_MAX_QUERIES, guess
 
 __all__ = [
@@ -181,72 +184,59 @@ def wilson_interval(successes, trials, z=Z95):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-class _PointContext:
-    """Per-(config, point) working state: cipher or code, oracle, masks."""
+class _Simulation:
+    """A campaign's working state, built once per process: the oracle over
+    its cipher or code, the message mask and each point's sigma. Batches
+    draw their channel arrays into the process's scratch buffers."""
 
-    def __init__(self, config, point_index):
+    def __init__(self, config):
         self.config = config
-        self.point_index = point_index
-        self.params = config.params
-        self.sigma = sigma_from_ebn0(config.ebn0_grid_db[point_index], self.params.rate)
+        params = config.params
+        self.sigmas = [sigma_from_ebn0(x, params.rate) for x in config.ebn0_grid_db]
         if config.code_kind == "aes":
-            self.cipher = Aes128(config.aes_key_hex)
-            self.oracle = AesPadOracle(self.params, self.cipher)
-            self.code = None
+            self.oracle = AesPadOracle(params, Aes128(config.aes_key_hex))
         else:
-            self.code = rlc_generate(self.params, config.rlc_seed)
-            self.oracle = RlcOracle(self.code)
-        self.msg_mask = message_bit_mask(self.params)
-        self.abandon_bit_errors = (self.params.k + 1) // 2
-        # Channel buffers, reused by every batch (a partial last batch uses
-        # their first rows): transients this size would each be mapped and
-        # unmapped by the allocator, a page fault per 4 KiB touched.
-        shape = (TRIAL_BATCH, self.params.n)
-        self._x = np.empty(shape)
-        self._y = np.empty(shape)
-        self._rel = np.empty(shape)
-        self._bits = np.empty(shape, dtype=np.uint8)
+            self.oracle = RlcOracle(rlc_generate(params, config.rlc_seed))
+        self.msg_mask = message_bit_mask(params)
 
-    def encode(self, msgs):
-        """(B, k) message bits -> (codeword bits, reference blocks).
-
-        A reference block is what a correct decode hands back: the padded
-        plaintext for the aes code, the packed codeword for the rlc.
-        """
-        if self.code is not None:
-            cw_bits = self.code.encode_bits(msgs)
-            return cw_bits, np.packbits(cw_bits, axis=1)
-        padded = np.zeros((msgs.shape[0], self.params.n), dtype=np.uint8)
-        padded[:, : self.params.k] = msgs
-        ref = np.packbits(padded, axis=1)
-        return np.unpackbits(self.cipher.encrypt_batch(ref), axis=1), ref
-
-    def run_batch(self, batch_index, size):
+    def run_batch(self, point, batch):
+        """The records of batch `batch` of grid point `point`."""
         cfg = self.config
-        mrng = np.random.default_rng((cfg.master_seed, self.point_index, batch_index, 0))
-        msgs = mrng.integers(0, 2, size=(size, self.params.k), dtype=np.uint8)
-        nrng = np.random.default_rng((cfg.master_seed, self.point_index, batch_index, 1))
-        cw_bits, ref = self.encode(msgs)
-        x = modulate(cw_bits, out=self._x[:size])
-        y = awgn_samples(x, self.sigma, nrng, out=self._y[:size])
+        n, k = cfg.n, cfg.k
+        size = min(TRIAL_BATCH, cfg.max_blocks - batch * TRIAL_BATCH)
+        mrng = np.random.default_rng((cfg.master_seed, point, batch, 0))
+        msgs = mrng.integers(0, 2, size=(size, k), dtype=np.uint8)
+        nrng = np.random.default_rng((cfg.master_seed, point, batch, 1))
+        padded = np.zeros((size, n), dtype=np.uint8)
+        padded[:, :k] = msgs
+        # A correct decode hands back the message in its first k bits: the
+        # padded plaintext for the aes code, the systematic codeword for the rlc.
+        ref = np.packbits(padded, axis=1)
+        if cfg.code_kind == "aes":
+            cw_bits = np.unpackbits(self.oracle.cipher.encrypt_batch(ref), axis=1)
+        else:
+            cw_bits = self.oracle.code.encode_bits(msgs)
+        sigma = self.sigmas[point]
+        x = modulate(cw_bits, out=scratch("x", (size, n), np.float64))
+        y = awgn_samples(x, sigma, nrng, out=scratch("y", (size, n), np.float64))
 
         reliability = None
         if cfg.decoder_kind == "orbgrand":
-            rel = self._rel[:size]
-            reliability = np.abs(llr_from_samples(y, self.sigma, out=rel), out=rel)
-        words = np.packbits(hard_bits(y, out=self._bits[:size]), axis=1)
+            rel = scratch("reliability", (size, n), np.float64)
+            reliability = np.abs(llr_from_samples(y, sigma, out=rel), out=rel)
+        words = np.packbits(hard_bits(y, out=scratch("hard bits", (size, n), np.uint8)), axis=1)
         found, blocks, queries = guess(words, self.oracle, cfg.max_queries, reliability)
         rec = np.empty(size, _RECORD)
         rec["bit_errors"] = np.bitwise_count((blocks ^ ref) & self.msg_mask).sum(axis=1, dtype=np.int64)
-        rec["bit_errors"][~found] = self.abandon_bit_errors
+        rec["bit_errors"][~found] = (k + 1) // 2
         rec["queries"] = queries
         rec["abandoned"] = ~found
         return rec
 
-
-def _batch_size(config, batch_index):
-    start = batch_index * TRIAL_BATCH
-    return max(0, min(TRIAL_BATCH, config.max_blocks - start))
+    def run_point(self, point):
+        """Simulate one grid point in this process until the stopping rule fires."""
+        batches = (self.run_batch(point, b) for b in range(_n_batches(self.config)))
+        return _point_result(self.config, point, _prefix(self.config, batches))
 
 
 def run_block(config, point_index, trial_index):
@@ -259,9 +249,8 @@ def run_block(config, point_index, trial_index):
         raise ValueError(f"point_index {point_index} out of range")
     if not 0 <= trial_index < config.max_blocks:
         raise ValueError(f"trial_index {trial_index} out of range")
-    ctx = _PointContext(config, point_index)
     b = trial_index // TRIAL_BATCH
-    rec = ctx.run_batch(b, _batch_size(config, b))[trial_index - b * TRIAL_BATCH]
+    rec = _Simulation(config).run_batch(point_index, b)[trial_index - b * TRIAL_BATCH]
     return BlockRecord(
         point_index=point_index,
         trial_index=trial_index,
@@ -333,9 +322,7 @@ def _point_result(config, point_index, recs):
 
 def run_point(config, point_index):
     """Simulate one grid point in this process until the stopping rule fires."""
-    ctx = _PointContext(config, point_index)
-    batches = (ctx.run_batch(b, _batch_size(config, b)) for b in range(_n_batches(config)))
-    return _point_result(config, point_index, _prefix(config, batches))
+    return _Simulation(config).run_point(point_index)
 
 
 # A worker's message: (point, batch) and that batch's records, or point -1
@@ -343,25 +330,22 @@ def run_point(config, point_index):
 _HEADER = struct.Struct("<qq")
 
 
-def _worker(config, rank, workers, stop, conn):
-    """Body of campaign worker `rank` of `workers`.
+def _worker(sim, rank, workers, stop, conn):
+    """Body of campaign worker `rank` of `workers`, on the _Simulation it
+    inherits from the parent.
 
     Runs batches rank, rank + workers, ... of each grid point, points in
-    order, with one _PointContext per point, and sends each batch's records
-    to the parent as soon as they are done. Before each batch it reads
-    stop[point], the batch count the parent publishes once the point's
-    stopping trial is known, and moves on to the next point when its next
-    batch lies past it.
+    order, and sends each batch's records to the parent as soon as they are
+    done. Before each batch it reads stop[point], the batch count the
+    parent publishes once the point's stopping trial is known, and moves on
+    to the next point when its next batch lies past it.
     """
     try:
-        for p in range(len(config.ebn0_grid_db)):
-            ctx = None
-            for b in range(rank, _n_batches(config), workers):
+        for p in range(len(sim.sigmas)):
+            for b in range(rank, _n_batches(sim.config), workers):
                 if b >= stop[p]:
                     break
-                if ctx is None:
-                    ctx = _PointContext(config, p)
-                conn.send_bytes(_HEADER.pack(p, b) + ctx.run_batch(b, _batch_size(config, b)).tobytes())
+                conn.send_bytes(_HEADER.pack(p, b) + sim.run_batch(p, b).tobytes())
     except Exception as exc:
         import traceback
 
@@ -387,8 +371,8 @@ class _Executor:
     docstring).
     """
 
-    def __init__(self, config, workers):
-        self.config = config
+    def __init__(self, sim, workers):
+        self.config = config = sim.config
         self.point = 0  # records of earlier points are dropped on arrival
         self.pending = {}  # (point, batch) -> records
         mp = multiprocessing.get_context("fork")
@@ -401,7 +385,7 @@ class _Executor:
                 recv, send = mp.Pipe(duplex=False)
                 proc = mp.Process(
                     target=_worker,
-                    args=(config, rank, workers, self.stop, send),
+                    args=(sim, rank, workers, self.stop, send),
                     name=f"campaign worker {rank}",
                     daemon=True,
                 )
@@ -415,7 +399,7 @@ class _Executor:
             raise
 
     def run_point(self, point_index):
-        """Like run_point, from the workers' records."""
+        """Like _Simulation.run_point, from the workers' records."""
         recs = _prefix(self.config, self._ordered(point_index))
         self.stop[point_index] = len(recs)
         self.point = point_index + 1
@@ -528,16 +512,18 @@ class CampaignResult:
 
     @classmethod
     def from_json(cls, text):
+        """Parse a result; ValueError unless it holds one point per grid
+        value, in order, and point times for none or all of them."""
         doc = json.loads(text)
         meta = doc.get("meta", {})
-        return cls(
-            config=CampaignConfig.from_dict(doc["config"]),
-            points=[PointResult.from_dict(p) for p in doc["points"]],
-            wall_time_s=meta.get("wall_time_s", 0.0),
-            version=meta.get("version", ""),
-            workers=meta.get("workers"),
-            point_wall_s=[p["wall_time_s"] for p in meta.get("points", [])],
-        )
+        config = CampaignConfig.from_dict(doc["config"])
+        points = [PointResult.from_dict(p) for p in doc["points"]]
+        if [p.ebn0_db for p in points] != list(config.ebn0_grid_db):
+            raise ValueError(f"points at {[p.ebn0_db for p in points]} dB do not match the grid {config.ebn0_grid_db}")
+        times = [p["wall_time_s"] for p in meta.get("points", [])]
+        if len(times) not in (0, len(points)):
+            raise ValueError(f"meta holds times for {len(times)} of {len(points)} points")
+        return cls(config, points, meta.get("wall_time_s", 0.0), meta.get("version", ""), meta.get("workers"), times)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -580,13 +566,12 @@ def run_campaign(config, workers=1, progress=False):
     t0 = time.perf_counter()
     points = []
     point_wall_s = []
-    executor = None
+    sim = _Simulation(config)
+    runner = sim if workers == 1 else _Executor(sim, workers)
     try:
-        if workers > 1:
-            executor = _Executor(config, workers)
         t_point = t0
         for i in range(len(config.ebn0_grid_db)):
-            res = run_point(config, i) if executor is None else executor.run_point(i)
+            res = runner.run_point(i)
             now = time.perf_counter()
             points.append(res)
             point_wall_s.append(now - t_point)
@@ -600,8 +585,8 @@ def run_campaign(config, workers=1, progress=False):
                     flush=True,
                 )
     finally:
-        if executor is not None:
-            executor.close()
+        if runner is not sim:
+            runner.close()
     return CampaignResult(
         config=config,
         points=points,

@@ -35,6 +35,7 @@ syndrome of y ^ e is s(y) ^ s(e) exactly. Candidate tests thus cost a
 from __future__ import annotations
 
 import functools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -98,6 +99,25 @@ def pad_bit_mask(params):
     return _position_mask(params, np.arange(params.k, params.n))
 
 
+_BUFFERS = {}  # role -> uint8 buffer, grown to the largest array asked of it
+
+
+def scratch(role, shape, dtype):
+    """An uninitialised array in role's buffer, valid until role's next use.
+
+    One buffer per role serves the whole process (the search core's step
+    arrays, the AES oracle's plaintexts, a campaign's channel arrays):
+    transients their size would each be mapped and unmapped by the
+    allocator, a page fault per 4 KiB touched.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = _BUFFERS.get(role, b"")
+    if len(buf) < nbytes:
+        buf = _BUFFERS[role] = np.empty(max(nbytes, 2 * len(buf)), dtype=np.uint8)
+    return np.ndarray(shape, dtype, buf)
+
+
 @functools.cache
 def one_bit_masks(n):
     """(n, ceil(n/8)) packed words, read-only; row p flips position p."""
@@ -152,8 +172,9 @@ class AesPadOracle(MembershipOracle):
     touches (lane 0 holds positions 0-63, lane 1 positions 64-127), which is
     exact for every k because both sides are viewed the same way.
 
-    accept_images decrypts into a buffer the oracle reuses and masks the pad
-    there; decode_batch's fresh results never alias it or one another.
+    accept_images decrypts into the process's "plaintexts" scratch buffer
+    and masks the pad there; decode_batch's fresh results never alias it or
+    one another.
     """
 
     def __init__(self, params, cipher):
@@ -166,7 +187,6 @@ class AesPadOracle(MembershipOracle):
         # The pad is positions k..127, so it touches the lanes from k // 64 on.
         self._pad_lanes = slice(params.k // 64, 2)
         self._pad_mask = pad_bit_mask(params).view(np.uint64)[self._pad_lanes]
-        self._plain = np.empty((1, 16), dtype=np.uint8)
 
     def decode_batch(self, words):
         pt = self.cipher.decrypt_batch(words)
@@ -174,10 +194,8 @@ class AesPadOracle(MembershipOracle):
         return ok, pt
 
     def accept_images(self, images):
-        rows = len(images)
-        if len(self._plain) <= rows:
-            self._plain = np.empty((max(rows, 2 * len(self._plain)) + 1, 16), dtype=np.uint8)
-        pad = self.cipher.decrypt_batch(images, out=self._plain[: rows + 1]).view(np.uint64)[:, self._pad_lanes]
+        plain = scratch("plaintexts", (len(images) + 1, 16), np.uint8)
+        pad = self.cipher.decrypt_batch(images, out=plain).view(np.uint64)[:, self._pad_lanes]
         return ~np.any(np.bitwise_and(pad, self._pad_mask, out=pad), axis=1)
 
 
@@ -204,10 +222,6 @@ class RlcCode:
         p.setflags(write=False)
         self.P = p
         self._tables, self._offsets = _syndrome_tables(self.parity_check_matrix, params.nbytes)
-
-    @property
-    def generator_matrix(self):
-        return np.hstack([np.eye(self.params.k, dtype=np.uint8), self.P])
 
     @property
     def parity_check_matrix(self):

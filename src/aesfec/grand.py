@@ -43,8 +43,9 @@ argsort (_least_reliable). Acceptance of an image is acceptance of the
 word it images, so the queries counted, the blocks accepted and the
 budget cut are those of a search over words. Only for the rows that hit
 is the word y ^ e built (from the one-bit masks), once per call, for one
-decode_batch call. Step arrays are written into buffers reused across
-steps and calls (_scratch), so the process runs one search at a time.
+decode_batch call. Step arrays are written into the process's scratch
+buffers (aesfec.codes.scratch), reused across steps and calls, so a
+process runs one search at a time.
 grand_decode and orbgrand_decode are one-row calls into the core.
 
 Words are packed (np.packbits layout). Patterns come from one kind of
@@ -61,7 +62,6 @@ the stores are tested against.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -69,7 +69,7 @@ import numpy as np
 
 from .bitblock import BitVec, split
 from .channel import SoftWord, hard_bits
-from .codes import one_bit_masks
+from .codes import one_bit_masks, scratch
 
 __all__ = [
     "DecodeOutcome",
@@ -319,22 +319,10 @@ def _xor_gather(table, index, out=None):
     if given (take writes out without a temporary only with mode="clip")."""
     out = table.take(index[:, 0], axis=0, out=out, mode="clip")
     if index.shape[1] > 1:
-        entries = _scratch("entries", out.shape, out.dtype)
+        entries = scratch("entries", out.shape, out.dtype)
         for col in index.T[1:]:
             out ^= table.take(col, axis=0, out=entries, mode="clip")
     return out
-
-
-_BUFFERS = {}  # role -> buffer for guess's step arrays, grown to the largest one asked of it
-
-
-def _scratch(role, shape, dtype):
-    """An uninitialised array in role's buffer, valid until role's next use."""
-    nbytes = math.prod(shape) * dtype.itemsize
-    buf = _BUFFERS.get(role, b"")
-    if len(buf) < nbytes:
-        buf = _BUFFERS[role] = np.empty(max(nbytes, 2 * len(buf)), dtype=np.uint8)
-    return np.ndarray(shape, dtype, buf)
 
 
 def _with_zero_row(columns):
@@ -386,9 +374,9 @@ def guess(words, oracle, max_queries, reliability=None):
         c = min(c, max(1, _MAX_WORDS // active.size), space - i)
         ranks = store.ranks(i, i + c)
         # Candidate images are pattern-major: (c, rows, w).
-        cand = _scratch("candidates", (c, *image.shape), image.dtype)
+        cand = scratch("candidates", (c, *image.shape), image.dtype)
         if reliability is None:
-            _xor_outer(_xor_gather(columns, ranks, _scratch("patterns", (c, image.shape[1]), image.dtype)), image, cand)
+            _xor_outer(_xor_gather(columns, ranks, scratch("patterns", (c, image.shape[1]), image.dtype)), image, cand)
         else:
             need = int(ranks.max(initial=0))
             if need > ranked:
@@ -403,7 +391,7 @@ def guess(words, oracle, max_queries, reliability=None):
                 # (ranked + 1, rows, w): entry r, a is the image of what
                 # rank r flips in row a. take and compress here measured
                 # 5-10x faster than the same fancy indexing.
-                rank_images = _scratch("rank images", (ranked + 1, *image.shape), columns.dtype)
+                rank_images = scratch("rank images", (ranked + 1, *image.shape), columns.dtype)
                 columns.take(order, axis=0, out=rank_images, mode="clip")
             _xor_gather(rank_images, ranks, cand)
             cand ^= image

@@ -15,14 +15,14 @@ bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=200)
 
 def test_position_zero_is_first_transmitted_bit():
     # "80" hex = 10000000: bit 0 set, the rest clear
-    v = BitVec.from_hex("80", 8)
+    v = BitVec(0x80, 8)
     assert v[0] == 1
     assert all(v[i] == 0 for i in range(1, 8))
     assert list(BitVec.from_bits([1, 0, 1, 1])) == [1, 0, 1, 1]
 
 
 def test_hex_and_bytes_views():
-    v = BitVec.from_hex("00112233445566778899aabbccddeeff", 128)
+    v = BitVec(int("00112233445566778899aabbccddeeff", 16), 128)
     assert v.to_hex() == "00112233445566778899aabbccddeeff"
     assert v.to_bytes() == bytes.fromhex("00112233445566778899aabbccddeeff")
     assert BitVec.from_bytes(v.to_bytes(), 128) == v

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aesfec import campaign
+from aesfec.aes_core import Aes128
 from aesfec.campaign import (
     TRIAL_BATCH,
     CampaignConfig,
@@ -24,7 +25,8 @@ from aesfec.campaign import (
     run_point,
     wilson_interval,
 )
-from aesfec.channel import awgn_samples, hard_bits, llr_from_samples, modulate
+from aesfec.channel import awgn_samples, hard_bits, llr_from_samples, modulate, sigma_from_ebn0
+from aesfec.codes import AesPadOracle, RlcOracle, message_bit_mask, rlc_generate
 from aesfec.cli import plot_data_csv
 from aesfec.grand import guess
 
@@ -185,14 +187,14 @@ class TestDeterminism:
 
 def _fail_at_batch(monkeypatch, batch, fail):
     # Campaign workers are forked, so they run the patched method.
-    run_batch = campaign._PointContext.run_batch
+    run_batch = campaign._Simulation.run_batch
 
-    def patched(self, batch_index, size):
+    def patched(self, point, batch_index):
         if batch_index == batch:
             fail()
-        return run_batch(self, batch_index, size)
+        return run_batch(self, point, batch_index)
 
-    monkeypatch.setattr(campaign._PointContext, "run_batch", patched)
+    monkeypatch.setattr(campaign._Simulation, "run_batch", patched)
 
 
 class TestExecutor:
@@ -214,7 +216,7 @@ class TestExecutor:
         cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=4 * TRIAL_BATCH))
         conn = Conn()
         # Point 0 stopped after 3 batches; point 1 runs all 4.
-        campaign._worker(cfg, 1, 2, [3, 4], conn)
+        campaign._worker(campaign._Simulation(cfg), 1, 2, [3, 4], conn)
         assert conn.sent == [(0, 1), (1, 1), (1, 3)]
 
     def test_worker_exception_reraised_with_traceback(self, monkeypatch):
@@ -236,12 +238,12 @@ class TestExecutor:
         code = (
             "import multiprocessing, os, signal\n"
             "from aesfec import campaign\n"
-            "run_batch = campaign._PointContext.run_batch\n"
-            "def patched(self, b, size):\n"
+            "run_batch = campaign._Simulation.run_batch\n"
+            "def patched(self, p, b):\n"
             "    if b == 3:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return run_batch(self, b, size)\n"
-            "campaign._PointContext.run_batch = patched\n"
+            "    return run_batch(self, p, b)\n"
+            "campaign._Simulation.run_batch = patched\n"
             "cfg = campaign.CampaignConfig(code_kind='rlc', decoder_kind='orbgrand', ebn0_grid_db=(7.0,))\n"
             "try:\n"
             "    campaign.run_campaign(cfg, workers=2)\n"
@@ -362,18 +364,31 @@ def test_benchmark_campaigns_match_recorded_hashes(perfbench_run, workload, seed
         assert got == expected[perfbench_run.config_key(cfg)], f"{workload} {label}"
 
 
-def reference_batch(ctx, batch_index, size):
-    """run_batch's record fields, with the channel drawn into fresh arrays."""
-    cfg = ctx.config
-    mrng = np.random.default_rng((cfg.master_seed, ctx.point_index, batch_index, 0))
-    msgs = mrng.integers(0, 2, size=(size, ctx.params.k), dtype=np.uint8)
-    nrng = np.random.default_rng((cfg.master_seed, ctx.point_index, batch_index, 1))
-    cw_bits, ref = ctx.encode(msgs)
-    y = awgn_samples(modulate(cw_bits), ctx.sigma, nrng)
-    rel = np.abs(llr_from_samples(y, ctx.sigma)) if cfg.decoder_kind == "orbgrand" else None
-    found, blocks, queries = guess(np.packbits(hard_bits(y), axis=1), ctx.oracle, cfg.max_queries, rel)
-    bit_errors = np.bitwise_count((blocks ^ ref) & ctx.msg_mask).sum(axis=1, dtype=np.int64)
-    bit_errors[~found] = ctx.abandon_bit_errors
+def reference_batch(config, point, batch):
+    """run_batch's record fields, from scratch: a fresh cipher or code and
+    oracle, the channel drawn into fresh arrays, and each code's own
+    reference block (the packed codeword for the rlc)."""
+    params = config.params
+    size = min(TRIAL_BATCH, config.max_blocks - batch * TRIAL_BATCH)
+    mrng = np.random.default_rng((config.master_seed, point, batch, 0))
+    msgs = mrng.integers(0, 2, size=(size, params.k), dtype=np.uint8)
+    nrng = np.random.default_rng((config.master_seed, point, batch, 1))
+    if config.code_kind == "aes":
+        cipher = Aes128(config.aes_key_hex)
+        oracle = AesPadOracle(params, cipher)
+        ref = np.packbits(np.hstack([msgs, np.zeros((size, params.pad_bits), np.uint8)]), axis=1)
+        cw_bits = np.unpackbits(cipher.encrypt_batch(ref), axis=1)
+    else:
+        code = rlc_generate(params, config.rlc_seed)
+        oracle = RlcOracle(code)
+        cw_bits = code.encode_bits(msgs)
+        ref = np.packbits(cw_bits, axis=1)
+    sigma = sigma_from_ebn0(config.ebn0_grid_db[point], params.rate)
+    y = awgn_samples(modulate(cw_bits), sigma, nrng)
+    rel = np.abs(llr_from_samples(y, sigma)) if config.decoder_kind == "orbgrand" else None
+    found, blocks, queries = guess(np.packbits(hard_bits(y), axis=1), oracle, config.max_queries, rel)
+    bit_errors = np.bitwise_count((blocks ^ ref) & message_bit_mask(params)).sum(axis=1, dtype=np.int64)
+    bit_errors[~found] = (params.k + 1) // 2
     return {"bit_errors": bit_errors, "queries": queries, "abandoned": ~found}
 
 
@@ -381,26 +396,46 @@ def reference_batch(ctx, batch_index, size):
 @pytest.mark.parametrize("code", ["aes", "rlc"])
 def test_run_batch_channel_buffers_match_fresh_arrays(code, decoder):
     # Batch 1 is partial (44 trials); batch 0 runs again after it, so stale
-    # rows of the reused buffers would show. 5 dB with a 2000-query budget
-    # gives searches, hits and abandoned blocks.
-    cfg = CampaignConfig(code_kind=code, decoder_kind=decoder, ebn0_grid_db=(5.0,), max_queries=2000,
-                         max_blocks=TRIAL_BATCH + 44, master_seed=11)
-    ctx = campaign._PointContext(cfg, 0)
+    # rows of the process's reused buffers would show. Two grid points and
+    # both codes take turns in one process, the rlc also at n = 60, whose
+    # arrays are narrower. 5 dB with a 2000-query budget gives searches,
+    # hits and abandoned blocks.
+    base = dict(decoder_kind=decoder, ebn0_grid_db=(5.0, 5.5), max_queries=2000,
+                max_blocks=TRIAL_BATCH + 44, master_seed=11)
+    cfg = CampaignConfig(code_kind=code, **base)
+    others = [CampaignConfig(code_kind="rlc" if code == "aes" else "aes", **base),
+              CampaignConfig(code_kind="rlc", n=60, k=50, **base)]
+    sims = [campaign._Simulation(c) for c in (cfg, *others)]
     for b in (0, 1, 0):
-        size = campaign._batch_size(cfg, b)
-        got, want = ctx.run_batch(b, size), reference_batch(ctx, b, size)
-        assert len(got) == size and got.dtype.names == tuple(want)
-        for name, w in want.items():
-            assert np.array_equal(got[name], w)
+        for point in (0, 1):
+            for sim in sims:
+                got, want = sim.run_batch(point, b), reference_batch(sim.config, point, b)
+                assert len(got) == len(want["queries"]) and got.dtype.names == tuple(want)
+                for name, w in want.items():
+                    assert np.array_equal(got[name], w)
     # A campaign's records replay one trial at a time.
     res = run_point(cfg, 0)
-    want = reference_batch(ctx, 1, 44)
+    want = reference_batch(cfg, 0, 1)
     for trial in (TRIAL_BATCH, TRIAL_BATCH + 43):
         rec = run_block(cfg, 0, trial)
         row = trial - TRIAL_BATCH
         assert (rec.bit_errors, rec.queries, rec.abandoned) == tuple(a[row].item() for a in want.values())
         assert rec.error == (rec.bit_errors > 0)
     assert res.blocks == cfg.max_blocks
+
+
+def test_campaign_builds_one_cipher(monkeypatch):
+    built = []
+
+    class Counting(campaign.Aes128):
+        def __init__(self, key):
+            built.append(key)
+            super().__init__(key)
+
+    monkeypatch.setattr(campaign, "Aes128", Counting)
+    res = run_campaign(CampaignConfig(**dict(FAST, ebn0_grid_db=(7.0, 7.5, 8.0), max_blocks=512)))
+    assert len(res.points) == 3
+    assert len(built) == 1
 
 
 @settings(max_examples=200, deadline=None)

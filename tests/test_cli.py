@@ -198,6 +198,13 @@ def test_run_csv_is_the_plot_data_csv(tmp_path, campaign_json):
     assert campaign_json.with_suffix(".csv").read_text() == merged.read_text()
 
 
+def _twice_timed(text):
+    """A one-point result whose meta times that point twice."""
+    doc = json.loads(text)
+    doc["meta"]["points"] *= 2
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [
@@ -208,11 +215,15 @@ def test_run_csv_is_the_plot_data_csv(tmp_path, campaign_json):
         ('{"points": []}', "not a campaign result (KeyError: 'config')"),
         ('{"config": {"code_kind": "hamming"}, "points": []}', "not a campaign result (ValueError: code_kind"),
         ('{"config": {}, "points": [{"blocks": 1}]}', "not a campaign result (TypeError"),
+        ('{"config": {}, "points": []}', "not a campaign result (ValueError: points at [] dB do not match the grid"),
+        (_twice_timed, "not a campaign result (ValueError: meta holds times for 2 of 1 points"),
     ],
-    ids=["missing", "text", "binary", "list", "no-config", "bad-config", "bad-point"],
+    ids=["missing", "text", "binary", "list", "no-config", "bad-config", "bad-point", "no-points", "meta-times"],
 )
 def test_plot_data_rejects_bad_input_before_writing(tmp_path, capsys, campaign_json, content, reason):
     bad = tmp_path / "bad.json"
+    if callable(content):
+        content = content(campaign_json.read_text())
     if isinstance(content, bytes):
         bad.write_bytes(content)
     elif content is not None:

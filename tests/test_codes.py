@@ -22,6 +22,11 @@ from aesfec.codes import (
 PARAMS = CodeParams(n=128, k=116)
 
 
+def generator_matrix(code):
+    """G = [I_k | P] of a systematic RLC."""
+    return np.hstack([np.eye(code.params.k, dtype=np.uint8), code.P])
+
+
 def decoded_message(oracle, word):
     """The k-bit message the oracle decodes one BitVec word to, or None if it rejects the word."""
     ok, blocks = oracle.decode_batch(np.frombuffer(word.to_bytes(), np.uint8).reshape(1, -1))
@@ -167,14 +172,8 @@ class TestRlc:
         self.code = rlc_generate(PARAMS, seed=1)
         self.oracle = RlcOracle(self.code)
 
-    def test_generator_is_systematic(self):
-        g = self.code.generator_matrix
-        assert g.shape == (116, 128)
-        assert np.array_equal(g[:, :116], np.eye(116, dtype=np.uint8))
-        assert np.array_equal(g[:, 116:], self.code.P)
-
     def test_parity_check_annihilates_generator(self):
-        g = self.code.generator_matrix
+        g = generator_matrix(self.code)
         h = self.code.parity_check_matrix
         assert h.shape == (12, 128)
         assert not ((g @ h.T) & 1).any()
@@ -183,7 +182,7 @@ class TestRlc:
         rng = np.random.default_rng(8)
         msgs = rng.integers(0, 2, size=(50, 116), dtype=np.uint8)
         cw = self.code.encode_bits(msgs)
-        assert np.array_equal(cw, (msgs @ self.code.generator_matrix) & 1)
+        assert np.array_equal(cw, (msgs @ generator_matrix(self.code)) & 1)
         assert np.array_equal(cw[:, :116], msgs)
 
     def test_rlc_encode_bitvec(self):
@@ -261,7 +260,7 @@ def test_rlc_tables_match_matrix_reference(geometry, seed, batch, flip_rate):
     n, k = geometry
     code = rlc_generate(CodeParams(n=n, k=k), seed=seed)
     oracle = RlcOracle(code)
-    g = code.generator_matrix.astype(np.int64)
+    g = generator_matrix(code).astype(np.int64)
     h = code.parity_check_matrix.astype(np.int64)
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, 2, size=(batch, k), dtype=np.uint8)
@@ -336,7 +335,7 @@ def test_rlc_rejects_misshapen_inputs():
 
 
 def test_rlc_table_build_is_cheap():
-    # Every process pays this once per grid point, inside set-up time.
+    # Every process pays this once per campaign, inside set-up time.
     t0 = time.perf_counter()
     for seed in range(20):
         code = rlc_generate(PARAMS, seed=seed)
@@ -345,7 +344,7 @@ def test_rlc_table_build_is_cheap():
     assert sum(t.nbytes for t in code._tables) == 16 * 256 * 2
 
 
-def test_campaign_worker_builds_tables_once_per_point(monkeypatch):
+def test_campaign_builds_tables_once_per_campaign(monkeypatch):
     from aesfec import campaign, codes
 
     calls = []
@@ -367,13 +366,18 @@ def test_campaign_worker_builds_tables_once_per_point(monkeypatch):
 
     monkeypatch.setattr(codes, "_syndrome_tables", counting)
     config = campaign.CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), max_blocks=3 * campaign.TRIAL_BATCH)
+    sim = campaign._Simulation(config)
     stop = [3, 3]  # no point stops early
-    # Both workers of a two-worker campaign, run here one after the other.
+    # Both workers of a two-worker campaign, run here one after the other
+    # on the one state they would inherit.
     for rank in (0, 1):
         conn = Conn()
-        campaign._worker(config, rank, 2, stop, conn)
+        campaign._worker(sim, rank, 2, stop, conn)
         assert conn.sent == [(p, b) for p in (0, 1) for b in range(rank, 3, 2)]
-    assert calls == [16, 16, 16, 16]
+    assert calls == [16]
+    # An in-process campaign builds them once too, for all its points.
+    campaign.run_campaign(config)
+    assert calls == [16, 16]
 
 
 @settings(max_examples=25, deadline=None)
