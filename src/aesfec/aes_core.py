@@ -29,8 +29,6 @@ __all__ = [
     "expand_key",
     "encrypt_batch",
     "decrypt_batch",
-    "encrypt_block",
-    "decrypt_block",
     "Aes128",
 ]
 
@@ -185,16 +183,6 @@ def _block_to_batch(block):
     return np.frombuffer(block.to_bytes(), dtype=np.uint8).reshape(1, 16)
 
 
-def encrypt_block(ks, pt):
-    """Encrypt one 128-bit BitVec."""
-    return BitVec.from_bytes(encrypt_batch(ks, _block_to_batch(pt)).tobytes(), BLOCK_BITS)
-
-
-def decrypt_block(ks, ct):
-    """Decrypt one 128-bit BitVec."""
-    return BitVec.from_bytes(decrypt_batch(ks, _block_to_batch(ct)).tobytes(), BLOCK_BITS)
-
-
 # Fixed probe blocks used to cross-check the two evaluation paths whenever
 # an Aes128 is constructed.
 _PROBE = np.array(
@@ -244,7 +232,3 @@ class Aes128:
 
     def encrypt(self, pt):
         return BitVec.from_bytes(self.encrypt_batch(_block_to_batch(pt)).tobytes(), BLOCK_BITS)
-
-    def __reduce__(self):
-        # OpenSSL cipher contexts do not pickle; rebuild from the key.
-        return (Aes128, (self.key,))

@@ -15,16 +15,16 @@ count as block errors with ceil(k/2) message bit errors.
 
 A campaign builds its working state once (_Simulation: the oracle over
 its cipher or code, the message mask, the per-point sigmas); batches
-draw their channel arrays into per-process scratch buffers. With
-workers == 1 the campaign runs on that state in the calling process.
-With more, it runs on that many forked worker processes (_Executor),
-which inherit the state: worker r of W runs batches r, r + W, r + 2W,
-... of each point, points in order, and sends each finished batch's
-records to the parent, which puts them back in batch order. As soon as
-the ordered record holds a point's stopping trial, the parent publishes
-the point's batch count in shared memory; each worker reads it before
-its next batch and moves on to the next point, so no worker waits for
-another and the work past a stopping trial is a batch or two per worker.
+draw their channel arrays into per-process scratch buffers. A campaign
+on W workers runs as W runs of one loop (_Executor): the calling process
+is worker 0, and W - 1 forked workers inherit the state. Worker r of W
+runs batches r, r + W, r + 2W, ... of each point, points in order; the
+forked ones send each finished batch's records to the calling process,
+which puts them back in batch order. As soon as the ordered record holds
+a point's stopping trial, it publishes the point's batch count in shared
+memory; each forked worker reads it before its next batch and moves on
+to the next point, so no worker waits for another and the work past a
+stopping trial is a batch or two per worker.
 """
 
 from __future__ import annotations
@@ -233,11 +233,6 @@ class _Simulation:
         rec["abandoned"] = ~found
         return rec
 
-    def run_point(self, point):
-        """Simulate one grid point in this process until the stopping rule fires."""
-        batches = (self.run_batch(point, b) for b in range(_n_batches(self.config)))
-        return _point_result(self.config, point, _prefix(self.config, batches))
-
 
 def run_block(config, point_index, trial_index):
     """Replay a single trial; used for spot checks and debugging.
@@ -322,7 +317,7 @@ def _point_result(config, point_index, recs):
 
 def run_point(config, point_index):
     """Simulate one grid point in this process until the stopping rule fires."""
-    return _Simulation(config).run_point(point_index)
+    return _Executor(_Simulation(config), 1).run_point(point_index)
 
 
 # A worker's message: (point, batch) and that batch's records, or point -1
@@ -360,28 +355,27 @@ def _worker(sim, rank, workers, stop, conn):
 
 
 class _Executor:
-    """The worker processes of one campaign and the parent's side of them.
-
-    The workers come from an explicitly pinned fork context. A forked
-    worker starts with the parent's imported modules; one that re-imports
-    them (spawn, or forkserver, which Python 3.14 made the default on
-    Linux) would pay the interpreter start-up and imports, about 0.1 s,
-    again in every campaign. The parent reassembles the workers' records
-    in batch order and publishes each point's stop (see the module
-    docstring).
+    """One campaign's batch loop on W workers: the calling process is worker
+    0, and ranks 1..W-1 are forked from a pinned fork context, inheriting
+    the _Simulation and the imported modules. (Spawn or forkserver, which
+    Python 3.14 made the default on Linux, would pay the interpreter
+    start-up and imports, about 0.1 s, again in every campaign.) The
+    calling process runs its own batches when the ordered record reaches
+    them, takes the rest from the workers' pipes, and publishes each
+    point's stop (see the module docstring).
     """
 
     def __init__(self, sim, workers):
-        self.config = config = sim.config
+        self.sim, self.config, self.workers = sim, sim.config, workers
         self.point = 0  # records of earlier points are dropped on arrival
         self.pending = {}  # (point, batch) -> records
+        self.procs = {}  # result pipe -> its worker, until the pipe ends
         mp = multiprocessing.get_context("fork")
-        self.stop = mp.RawArray("q", [_n_batches(config)] * len(config.ebn0_grid_db))
-        self.procs = []
-        self.running = {}  # sentinel -> process, until it is seen to exit
-        self.conns = []  # result pipes not yet at end of file
+        self.stop = [_n_batches(sim.config)] * len(sim.sigmas)
+        if workers > 1:  # the first RawArray of a process costs about 6 ms in imports
+            self.stop = mp.RawArray("q", self.stop)
         try:
-            for rank in range(workers):
+            for rank in range(1, workers):
                 recv, send = mp.Pipe(duplex=False)
                 proc = mp.Process(
                     target=_worker,
@@ -391,15 +385,13 @@ class _Executor:
                 )
                 proc.start()
                 send.close()
-                self.procs.append(proc)
-                self.running[proc.sentinel] = proc
-                self.conns.append(recv)
+                self.procs[recv] = proc
         except BaseException:
             self.close()
             raise
 
     def run_point(self, point_index):
-        """Like _Simulation.run_point, from the workers' records."""
+        """Simulate one grid point until the stopping rule fires."""
         recs = _prefix(self.config, self._ordered(point_index))
         self.stop[point_index] = len(recs)
         self.point = point_index + 1
@@ -408,6 +400,9 @@ class _Executor:
 
     def _ordered(self, p):
         for b in range(_n_batches(self.config)):
+            if b % self.workers == 0:
+                yield self.sim.run_batch(p, b)
+                continue
             while (p, b) not in self.pending:
                 self._receive()
             yield self.pending.pop((p, b))
@@ -415,24 +410,21 @@ class _Executor:
     def _receive(self):
         """Wait for and file the next messages; raise if a worker failed."""
         # Imported here so that campaigns run in-process (workers == 1)
-        # never import it and the socket and tempfile modules it pulls in.
+        # never import it.
         from multiprocessing.connection import wait
 
-        waiting = self.conns + list(self.running)
-        if not waiting:
+        if not self.procs:
             raise RuntimeError("campaign workers exited before sending every batch")
-        for obj in wait(waiting):
-            if obj in self.running:
-                proc = self.running.pop(obj)
+        for conn in wait(list(self.procs)):
+            try:
+                buf = conn.recv_bytes()
+            except EOFError:
+                # A worker's pipe ends when the worker exits, however it exits.
+                proc = self.procs.pop(conn)
+                conn.close()
                 proc.join()
                 if proc.exitcode != 0:
                     raise RuntimeError(f"{proc.name} (pid {proc.pid}) died with exit code {proc.exitcode}")
-                continue
-            try:
-                buf = obj.recv_bytes()
-            except EOFError:
-                self.conns.remove(obj)
-                obj.close()
                 continue
             p, b = _HEADER.unpack_from(buf)
             if p < 0:
@@ -443,11 +435,10 @@ class _Executor:
 
     def close(self):
         """Stop and reap every worker; safe to call at any point."""
-        for proc in self.procs:
+        for proc in self.procs.values():
             proc.terminate()
-        for proc in self.procs:
+        for conn, proc in self.procs.items():
             proc.join()
-        for conn in self.conns:
             conn.close()
 
 
@@ -556,8 +547,8 @@ class CampaignResult:
 def run_campaign(config, workers=1, progress=False):
     """Run every grid point; bit-identical output for any worker count.
 
-    workers == 1 runs the points in this process; more start that many
-    forked workers for the campaign (see _Executor).
+    The calling process runs every workers-th batch, and workers - 1
+    forked workers run the rest (see _Executor).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -566,8 +557,7 @@ def run_campaign(config, workers=1, progress=False):
     t0 = time.perf_counter()
     points = []
     point_wall_s = []
-    sim = _Simulation(config)
-    runner = sim if workers == 1 else _Executor(sim, workers)
+    runner = _Executor(_Simulation(config), workers)
     try:
         t_point = t0
         for i in range(len(config.ebn0_grid_db)):
@@ -585,8 +575,7 @@ def run_campaign(config, workers=1, progress=False):
                     flush=True,
                 )
     finally:
-        if runner is not sim:
-            runner.close()
+        runner.close()
     return CampaignResult(
         config=config,
         points=points,

@@ -93,8 +93,9 @@ def build_parser():
         "--workers",
         type=_positive_int,
         default=1,
-        help="processes per campaign: 1 runs in this process; W > 1 forks W workers, each running every W-th "
-        "batch of a point until the point's stop is published (results do not depend on W)",
+        help="processes per campaign: 1 runs in this process; W > 1 forks W - 1 workers beside this process; "
+        "each of the W runs every W-th batch of a point until the point's stop is published "
+        "(results do not depend on W)",
     )
     run.add_argument("--out", type=Path, default=None, help="output JSON path (default campaign_<code>_<decoder>.json)")
     run.add_argument("--quiet", action="store_true", help="suppress per-point progress lines")

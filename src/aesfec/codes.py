@@ -52,7 +52,6 @@ __all__ = [
     "RlcOracle",
     "aes_encode",
     "rlc_generate",
-    "rlc_encode",
     "message_bit_mask",
     "pad_bit_mask",
     "one_bit_masks",
@@ -280,13 +279,6 @@ def rlc_generate(params, seed):
     rng = np.random.default_rng(seed)
     p = rng.integers(0, 2, size=(params.k, params.pad_bits), dtype=np.uint8)
     return RlcCode(params, p)
-
-
-def rlc_encode(m, code):
-    """Encode one message BitVec systematically."""
-    if len(m) != code.params.k:
-        raise ValueError(f"expected {code.params.k}-bit message, got {len(m)}")
-    return BitVec.from_array(code.encode_bits(m.to_array()[None, :])[0])
 
 
 class RlcOracle(MembershipOracle):

@@ -118,11 +118,13 @@ class TestStopping:
         res = run_point(cfg, 0)
         assert res.block_errors == 5
         assert res.blocks < cfg.max_blocks
-        # replay: the final block is the fifth error, and the prefix count
-        # agrees with run_block one block at a time
+        # replay: the final block is the fifth error, and the prefix of the
+        # point's batches, each run once, holds five errors
         last = run_block(cfg, 0, res.blocks - 1)
         assert last.error
-        errs = sum(run_block(cfg, 0, t).error for t in range(res.blocks))
+        sim = campaign._Simulation(cfg)
+        batches = [sim.run_batch(0, b) for b in range(-(-res.blocks // TRIAL_BATCH))]
+        errs = np.count_nonzero(np.concatenate([rec["bit_errors"] for rec in batches])[: res.blocks])
         assert errs == 5
 
     def test_block_cap(self):
@@ -202,6 +204,19 @@ class TestExecutor:
         run_campaign(CampaignConfig(**FAST), workers=2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_calling_process_is_worker_0(self, monkeypatch, workers):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting(proc):
+            started.append(proc.name)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+        run_campaign(CampaignConfig(**FAST), workers=workers)
+        assert started == [f"campaign worker {rank}" for rank in range(1, workers)]
+
     def test_worker_reads_the_published_stop_before_each_batch(self):
         class Conn:
             def __init__(self):
@@ -229,6 +244,17 @@ class TestExecutor:
         cause = str(info.value.__cause__)
         assert "campaign worker 1" in cause
         assert "Traceback" in cause and "in patched" in cause
+        assert multiprocessing.active_children() == []
+
+    def test_calling_process_exception_raised_as_is(self, monkeypatch):
+        def fail():
+            raise ValueError("no batch 2")
+
+        # Batch 2 of 2 workers is the calling process's own.
+        _fail_at_batch(monkeypatch, 2, fail)
+        with pytest.raises(ValueError, match="no batch 2") as info:
+            run_campaign(CampaignConfig(**FAST), workers=2)
+        assert info.value.__cause__ is None
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_fails_the_campaign(self):
@@ -456,7 +482,8 @@ def test_p99_matches_numpy_percentile(values):
 
 def test_campaign_does_not_import_numpy_ma():
     # numpy's percentile imports numpy.ma on first use, about 30 ms per
-    # process.
+    # process. A campaign that forks nothing needs neither the workers'
+    # pipes nor the shared stop array, whose imports cost about 8 ms.
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
@@ -464,8 +491,9 @@ def test_campaign_does_not_import_numpy_ma():
         "for d in ('grand', 'orbgrand'):\n"
         "    run_campaign(CampaignConfig(decoder_kind=d, ebn0_grid_db=(6.0,), min_block_errors=2, max_blocks=600))\n"
         "print('numpy.ma' in sys.modules)\n"
+        "print(sorted({'multiprocessing.connection', 'multiprocessing.sharedctypes'} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
