@@ -19,12 +19,13 @@ draw their channel arrays into per-process scratch buffers. A campaign
 on W workers runs as W runs of one loop (_Executor): the calling process
 is worker 0, and W - 1 forked workers inherit the state. Worker r of W
 runs batches r, r + W, r + 2W, ... of each point, points in order; the
-forked ones send each finished batch's records to the calling process,
-which puts them back in batch order. As soon as the ordered record holds
-a point's stopping trial, it publishes the point's batch count in shared
-memory; each forked worker reads it before its next batch and moves on
-to the next point, so no worker waits for another and the work past a
-stopping trial is a batch or two per worker.
+forked ones send each finished batch's records down their own pipe, and
+the calling process reads batch b from the pipe of worker b mod W. As
+soon as the batches in order hold a point's stopping trial, it publishes
+the point's batch count in shared memory; each forked worker reads it
+before its next batch and moves on to the next point, so no worker waits
+for another and the work past a stopping trial is a batch or two per
+worker, and never more than its pipe holds.
 """
 
 from __future__ import annotations
@@ -330,10 +331,11 @@ def _worker(sim, rank, workers, stop, conn):
     inherits from the parent.
 
     Runs batches rank, rank + workers, ... of each grid point, points in
-    order, and sends each batch's records to the parent as soon as they are
-    done. Before each batch it reads stop[point], the batch count the
-    parent publishes once the point's stopping trial is known, and moves on
-    to the next point when its next batch lies past it.
+    order, and sends each batch's records down its pipe as soon as they are
+    done, blocking while the pipe is full. Before each batch it reads
+    stop[point], the batch count the parent publishes once the point's
+    stopping trial is known, and moves on to the next point when its next
+    batch lies past it.
     """
     try:
         for p in range(len(sim.sigmas)):
@@ -347,6 +349,7 @@ def _worker(sim, rank, workers, stop, conn):
         tb = traceback.format_exc()
         try:
             payload = pickle.dumps((exc, tb))
+            pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
         except Exception:
             payload = pickle.dumps((RuntimeError(repr(exc)), tb))
         conn.send_bytes(_HEADER.pack(-1, rank) + payload)
@@ -359,17 +362,19 @@ class _Executor:
     0, and ranks 1..W-1 are forked from a pinned fork context, inheriting
     the _Simulation and the imported modules. (Spawn or forkserver, which
     Python 3.14 made the default on Linux, would pay the interpreter
-    start-up and imports, about 0.1 s, again in every campaign.) The
-    calling process runs its own batches when the ordered record reaches
-    them, takes the rest from the workers' pipes, and publishes each
-    point's stop (see the module docstring).
+    start-up and imports, about 0.1 s, again in every campaign.) Batch b of
+    a point belongs to worker b mod W: the calling process runs its own
+    batches and reads each other batch from its owner's pipe, which carries
+    that worker's batches in (point, batch) order, and it publishes each
+    point's stop (see the module docstring). A forked worker runs ahead of
+    the calling process only until its pipe is full (ten batches fill a
+    64 KiB Linux pipe) and then blocks in send_bytes; close() terminates it
+    there.
     """
 
     def __init__(self, sim, workers):
         self.sim, self.config, self.workers = sim, sim.config, workers
-        self.point = 0  # records of earlier points are dropped on arrival
-        self.pending = {}  # (point, batch) -> records
-        self.procs = {}  # result pipe -> its worker, until the pipe ends
+        self.procs = []  # (result pipe, process) of ranks 1..W-1
         mp = multiprocessing.get_context("fork")
         self.stop = [_n_batches(sim.config)] * len(sim.sigmas)
         if workers > 1:  # the first RawArray of a process costs about 6 ms in imports
@@ -385,7 +390,7 @@ class _Executor:
                 )
                 proc.start()
                 send.close()
-                self.procs[recv] = proc
+                self.procs.append((recv, proc))
         except BaseException:
             self.close()
             raise
@@ -394,50 +399,37 @@ class _Executor:
         """Simulate one grid point until the stopping rule fires."""
         recs = _prefix(self.config, self._ordered(point_index))
         self.stop[point_index] = len(recs)
-        self.point = point_index + 1
-        self.pending = {key: rec for key, rec in self.pending.items() if key[0] > point_index}
         return _point_result(self.config, point_index, recs)
 
     def _ordered(self, p):
         for b in range(_n_batches(self.config)):
-            if b % self.workers == 0:
-                yield self.sim.run_batch(p, b)
-                continue
-            while (p, b) not in self.pending:
-                self._receive()
-            yield self.pending.pop((p, b))
+            rank = b % self.workers
+            yield self._receive(rank, p) if rank else self.sim.run_batch(p, b)
 
-    def _receive(self):
-        """Wait for and file the next messages; raise if a worker failed."""
-        # Imported here so that campaigns run in-process (workers == 1)
-        # never import it.
-        from multiprocessing.connection import wait
-
-        if not self.procs:
-            raise RuntimeError("campaign workers exited before sending every batch")
-        for conn in wait(list(self.procs)):
+    def _receive(self, rank, p):
+        """The next batch of point p from worker `rank`'s pipe, past its
+        batches of earlier points (computed beyond their stops); raise if
+        the worker failed."""
+        conn, proc = self.procs[rank - 1]
+        while True:
             try:
                 buf = conn.recv_bytes()
             except EOFError:
                 # A worker's pipe ends when the worker exits, however it exits.
-                proc = self.procs.pop(conn)
-                conn.close()
                 proc.join()
-                if proc.exitcode != 0:
-                    raise RuntimeError(f"{proc.name} (pid {proc.pid}) died with exit code {proc.exitcode}")
-                continue
-            p, b = _HEADER.unpack_from(buf)
-            if p < 0:
+                raise RuntimeError(f"{proc.name} (pid {proc.pid}) died with exit code {proc.exitcode}")
+            q, b = _HEADER.unpack_from(buf)
+            if q < 0:
                 exc, tb = pickle.loads(buf[_HEADER.size :])
                 raise exc from RuntimeError(f"in campaign worker {b}:\n{tb}")
-            if p >= self.point:
-                self.pending[p, b] = np.frombuffer(buf, _RECORD, offset=_HEADER.size)
+            if q == p:
+                return np.frombuffer(buf, _RECORD, offset=_HEADER.size)
 
     def close(self):
         """Stop and reap every worker; safe to call at any point."""
-        for proc in self.procs.values():
+        for _, proc in self.procs:
             proc.terminate()
-        for conn, proc in self.procs.items():
+        for conn, proc in self.procs:
             proc.join()
             conn.close()
 
@@ -550,6 +542,10 @@ def run_campaign(config, workers=1, progress=False):
     The calling process runs every workers-th batch, and workers - 1
     forked workers run the rest (see _Executor).
     """
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ValueError(f"workers must be an integer, got {workers!r}") from None
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     from . import __version__

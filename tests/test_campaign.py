@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,13 +200,31 @@ def _fail_at_batch(monkeypatch, batch, fail):
     monkeypatch.setattr(campaign._Simulation, "run_batch", patched)
 
 
+class UnrebuildableError(Exception):
+    # Pickles as (class, args), but args holds one message, not (a, b).
+    def __init__(self, a, b):
+        super().__init__(f"bad {a} {b}")
+
+
 class TestExecutor:
     def test_no_worker_outlives_a_campaign(self):
         run_campaign(CampaignConfig(**FAST), workers=2)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_calling_process_is_worker_0(self, monkeypatch, workers):
+    @pytest.mark.parametrize("workers", [0, 2.0, "2"])
+    def test_rejects_bad_worker_counts(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_campaign(CampaignConfig(**FAST), workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers,max_blocks",
+        [(1, FAST["max_blocks"]), (2, FAST["max_blocks"]), (3, FAST["max_blocks"]), (3, TRIAL_BATCH), (3, 2 * TRIAL_BATCH)],
+        # More workers than batches in the last two: some forked workers run none.
+        ids=["1", "2", "3", "3-one-batch", "3-two-batches"],
+    )
+    def test_calling_process_is_worker_0(self, monkeypatch, workers, max_blocks):
+        cfg = CampaignConfig(**dict(FAST, max_blocks=max_blocks))
+        want = run_campaign(cfg).canonical_json()
         started = []
         start = multiprocessing.process.BaseProcess.start
 
@@ -214,8 +233,30 @@ class TestExecutor:
             start(proc)
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
-        run_campaign(CampaignConfig(**FAST), workers=workers)
+        assert run_campaign(cfg, workers=workers).canonical_json() == want
         assert started == [f"campaign worker {rank}" for rank in range(1, workers)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_far_ahead_of_the_calling_process(self, monkeypatch, workers):
+        # Point 0 stops in batch 0 of 64. While the calling process sleeps in
+        # its own batches, each forked worker runs on past that stop until
+        # its pipe is full, and the calling process must drop those batches
+        # when it reads point 1's from the same pipe.
+        cfg = CampaignConfig(
+            code_kind="rlc", ebn0_grid_db=(6.0, 8.0), min_block_errors=5, max_blocks=64 * TRIAL_BATCH, master_seed=7
+        )
+        want = run_campaign(cfg).canonical_json()
+        run_batch = campaign._Simulation.run_batch
+
+        def slow_rank_0(self, point, batch):
+            if batch % workers == 0:
+                time.sleep(0.1)
+            return run_batch(self, point, batch)
+
+        monkeypatch.setattr(campaign._Simulation, "run_batch", slow_rank_0)
+        assert run_campaign(cfg, workers=workers).canonical_json() == want
+        assert multiprocessing.active_children() == []
 
     def test_worker_reads_the_published_stop_before_each_batch(self):
         class Conn:
@@ -244,6 +285,18 @@ class TestExecutor:
         cause = str(info.value.__cause__)
         assert "campaign worker 1" in cause
         assert "Traceback" in cause and "in patched" in cause
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_that_cannot_be_rebuilt_keeps_its_message(self, monkeypatch):
+        def fail():
+            raise UnrebuildableError(1, 2)
+
+        _fail_at_batch(monkeypatch, 3, fail)
+        with pytest.raises(RuntimeError, match="bad 1 2") as info:
+            run_campaign(CampaignConfig(**FAST), workers=2)
+        cause = str(info.value.__cause__)
+        assert "campaign worker 1" in cause
+        assert "Traceback" in cause and "in fail" in cause
         assert multiprocessing.active_children() == []
 
     def test_calling_process_exception_raised_as_is(self, monkeypatch):
