@@ -89,6 +89,9 @@ class CampaignConfig:
     rlc_seed: int = 1
 
     def __post_init__(self):
+        # A string is iterable too, one character per grid point.
+        if isinstance(self.ebn0_grid_db, (str, bytes)) or not np.iterable(self.ebn0_grid_db):
+            raise ValueError(f"ebn0_grid_db must be a sequence of numbers, got {self.ebn0_grid_db!r}")
         object.__setattr__(self, "ebn0_grid_db", tuple(float(x) for x in self.ebn0_grid_db))
         # Plain ints, so that equal configs have one canonical JSON (1e6 is
         # not 10**6 there, and numpy integers are not JSON at all).

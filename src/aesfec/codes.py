@@ -111,7 +111,7 @@ def scratch(role, shape, dtype):
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    buf = _BUFFERS.get(role, b"")
+    buf = _BUFFERS.get(role, bytearray())  # writable, for a 0-byte array too
     if len(buf) < nbytes:
         buf = _BUFFERS[role] = np.empty(max(nbytes, 2 * len(buf)), dtype=np.uint8)
     return np.ndarray(shape, dtype, buf)

@@ -34,18 +34,16 @@ maps words linearly to images, so the image of y ^ e is the image of y
 XORed with the images of the positions e flips, the oracle's
 image_columns. GRAND XORs, for each position in a pattern, that
 position's column image, and XORs the pattern images onto each row's
-image; ORBGRAND XORs, for each rank in a pattern, the column image of the
-position that rank names in that row, gathered through the row's own
-stable ranking of |LLR|. A row is ranked only as far as the patterns
-reach: ranks 1 .. R with R at least 8 and at least doubled whenever a
-step names a rank above R, each prefix exactly that of the full stable
-argsort (_least_reliable). Acceptance of an image is acceptance of the
-word it images, so the queries counted, the blocks accepted and the
-budget cut are those of a search over words. Only for the rows that hit
-is the word y ^ e built (from the one-bit masks), once per call, for one
-decode_batch call. Step arrays are written into the process's scratch
-buffers (aesfec.codes.scratch), reused across steps and calls, so a
-process runs one search at a time.
+image; ORBGRAND XORs, for each rank in a pattern, the image of what that
+rank flips in that row, from a table of every rank's image in every row,
+built once per call from the rows' stable rankings of |LLR| (_ranking).
+Acceptance of an image is acceptance of the word it images, so the
+queries counted, the blocks accepted and the budget cut are those of a
+search over words. Only for the rows that hit is the word y ^ e built
+(from the one-bit masks), once per call, for one decode_batch call. Step
+arrays are written into the process's scratch buffers
+(aesfec.codes.scratch), reused across steps and calls, so a process runs
+one search at a time.
 grand_decode and orbgrand_decode are one-row calls into the core.
 
 Words are packed (np.packbits layout). Patterns come from one kind of
@@ -62,6 +60,7 @@ the stores are tested against.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -292,26 +291,16 @@ def _xor_outer(patterns, rows, out):
     return out
 
 
-def _least_reliable(rel, count):
-    """Positions of the count smallest entries of each row of rel, in
-    stable order: exactly np.argsort(rel, axis=1, kind="stable")[:, :count].
-
-    argpartition finds each row's count smallest entries; sorted by
-    position and then stably by value, they come out in (value, position)
-    order. That is the full sort's prefix unless the count-th smallest
-    value also sits outside the partition: such a row, tied at the
-    boundary, is sorted in full, and so is every row once count >= n / 2.
-    """
-    if 2 * count >= rel.shape[1]:
-        return np.argsort(rel, axis=1, kind="stable")[:, :count]
-    part = np.argpartition(rel, count - 1, axis=1)[:, :count]
-    part.sort(axis=1)
-    vals = np.take_along_axis(rel, part, axis=1)
-    out = np.take_along_axis(part, vals.argsort(axis=1, kind="stable"), axis=1)
-    tied = np.count_nonzero(rel <= vals.max(axis=1, keepdims=True), axis=1) > count
+def _ranking(rel):
+    """np.argsort(rel, axis=1, kind="stable"), from the faster default sort:
+    a row without two equal values has one sorted order, so only the rows
+    whose sorted values hold two equal neighbours are sorted again, stably."""
+    order = rel.argsort(axis=1)
+    vals = np.take_along_axis(rel, order, axis=1)
+    tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
     if tied.any():
-        out[tied] = np.argsort(rel[tied], axis=1, kind="stable")[:, :count]
-    return out
+        order[tied] = rel[tied].argsort(axis=1, kind="stable")
+    return order
 
 
 def _xor_gather(table, index, out=None):
@@ -341,6 +330,10 @@ def guess(words, oracle, max_queries, reliability=None):
     abandoned after min(max_queries, 2^n) queries, and its block is
     meaningless.
     """
+    try:
+        max_queries = operator.index(max_queries)
+    except TypeError:
+        raise ValueError(f"max_queries must be an integer, got {max_queries!r}") from None
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
     n, nbytes = oracle.params.n, oracle.params.nbytes
@@ -366,7 +359,13 @@ def guess(words, oracle, max_queries, reliability=None):
         # Only the rows that search read theirs; min propagates NaN.
         if rel.size and not rel.min() >= 0:
             raise ValueError("reliabilities must be nonnegative |LLR|s; a row that searches has a negative or NaN one")
-        ranked = 0  # ranks 1 .. ranked are resolved in every row
+        # order[r, a] is 1 + the position that rank r names in row a, and 0
+        # for rank 0 (padding): an index into columns below a zero row.
+        order = _with_zero_row(1 + _ranking(rel).T)
+        # (n + 1, rows, w): entry r, a is the image of what rank r flips in
+        # row a. take and compress here measured 5-10x faster than the same
+        # fancy indexing.
+        rank_images = columns.take(order, axis=0, out=scratch("rank images", (n + 1, *image.shape), columns.dtype), mode="clip")
     hits = []  # per step with hits: (rows, 1 + the positions each one's pattern flips)
     space = min(max_queries, 1 << n)
     i, c = 1, _FIRST_STEP
@@ -378,21 +377,6 @@ def guess(words, oracle, max_queries, reliability=None):
         if reliability is None:
             _xor_outer(_xor_gather(columns, ranks, scratch("patterns", (c, image.shape[1]), image.dtype)), image, cand)
         else:
-            need = int(ranks.max(initial=0))
-            if need > ranked:
-                # Rank at least 8 and at least double, so that a long
-                # search re-ranks its rows a few times only.
-                ranked = min(n, max(need, 2 * ranked, 8))
-                # order[r, a] is 1 + the position that rank r names in row
-                # a, and 0 for rank 0 (padding): an index into columns
-                # below a zero row.
-                order = np.zeros((ranked + 1, len(rel)), dtype=np.intp)
-                order[1:] = 1 + _least_reliable(rel, ranked).T
-                # (ranked + 1, rows, w): entry r, a is the image of what
-                # rank r flips in row a. take and compress here measured
-                # 5-10x faster than the same fancy indexing.
-                rank_images = scratch("rank images", (ranked + 1, *image.shape), columns.dtype)
-                columns.take(order, axis=0, out=rank_images, mode="clip")
             _xor_gather(rank_images, ranks, cand)
             cand ^= image
         ok = oracle.accept_images(cand.view(np.uint8).reshape(c * len(active), -1)).reshape(c, len(active))
@@ -407,7 +391,7 @@ def guess(words, oracle, max_queries, reliability=None):
             keep = ~hit
             active, image = active[keep], image[keep]
             if reliability is not None:
-                order, rank_images, rel = order[:, keep], rank_images.compress(keep, axis=1), rel[keep]
+                order, rank_images = order[:, keep], rank_images.compress(keep, axis=1)
         i += c
         c *= _GROWTH
     queries[active] = i

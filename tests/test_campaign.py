@@ -80,6 +80,10 @@ class TestConfig:
             dict(max_blocks=1e4),
             dict(n="128"),
             dict(master_seed=1.5),
+            dict(ebn0_grid_db="78"),
+            dict(ebn0_grid_db=b"78"),
+            dict(ebn0_grid_db=7.0),
+            dict(ebn0_grid_db=np.float64(7.0)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -257,6 +261,23 @@ class TestExecutor:
         monkeypatch.setattr(campaign._Simulation, "run_batch", slow_rank_0)
         assert run_campaign(cfg, workers=workers).canonical_json() == want
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_close_closes_every_pipe_and_reaps_every_worker(self, monkeypatch, workers):
+        # A pipe left open would be closed silently by Connection.__del__
+        # once the executor is freed, so look at them as close() returns.
+        seen = []
+        close = campaign._Executor.close
+
+        def checked(self):
+            close(self)
+            seen.append([(conn.closed, proc.exitcode) for conn, proc in self.procs])
+
+        monkeypatch.setattr(campaign._Executor, "close", checked)
+        run_campaign(CampaignConfig(**FAST), workers=workers)
+        assert len(seen) == 1 and len(seen[0]) == workers - 1
+        # An exit code is set once the worker has been waited for.
+        assert all(closed and exitcode is not None for closed, exitcode in seen[0])
 
     def test_worker_reads_the_published_stop_before_each_batch(self):
         class Conn:

@@ -16,6 +16,7 @@ from aesfec.codes import (
     message_bit_mask,
     pad_bit_mask,
     rlc_generate,
+    scratch,
 )
 
 PARAMS = CodeParams(n=128, k=116)
@@ -49,6 +50,13 @@ def test_bit_masks_partition_the_word():
     assert np.array_equal(m ^ p, np.full(16, 0xFF, np.uint8))
     bits = np.unpackbits(m)
     assert bits[:116].all() and not bits[116:].any()
+
+
+def test_scratch_arrays_are_writable_at_any_size():
+    # A role's first array may hold no bytes: guess's rank-image table has
+    # no rows when every row is accepted at step 0.
+    for shape in ((0, 16), (3, 16), (0,)):
+        assert scratch("test: any size", shape, np.uint8).flags.writeable
 
 
 class TestAesCode:

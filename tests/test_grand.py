@@ -470,33 +470,37 @@ def test_guess_batch_matches_one_row_decoders_and_reference(case, soft, ebn0, bu
     n=st.integers(1, 140),
     rows=st.integers(1, 12),
     decimals=st.sampled_from([None, 1, 0, -1]),
-    pick=st.integers(1, 140),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_least_reliable_is_the_full_stable_argsort_prefix(n, rows, decimals, pick, seed):
-    # Rounded |LLR| put equal values on both sides of the rank boundary;
-    # decimals=-1 leaves a few distinct values per row.
+def test_ranking_is_the_full_stable_argsort(n, rows, decimals, seed):
+    # Rounded |LLR| make equal values, which only a stable sort orders by
+    # position; decimals=-1 leaves a few distinct values per row.
     rel = np.abs(np.random.default_rng(seed).normal(0.0, 8.0, size=(rows, n)))
     if decimals is not None:
         rel = np.round(rel, decimals)
-    want = np.argsort(np.abs(rel), kind="stable")
-    for count in sorted({1, max(1, n // 2 - 1), max(1, n // 2), n, 1 + pick % n}):
-        assert np.array_equal(grand._least_reliable(rel, count), want[:, :count])
+    assert np.array_equal(grand._ranking(rel), np.argsort(rel, axis=1, kind="stable"))
 
 
-def test_least_reliable_falls_back_on_boundary_ties():
-    # Row 0 ties at the 2nd value (three 1.0s), row 1 all-equal, row 2 not
-    # tied: only a stable sort puts positions 1, 2, 3 in order.
+def test_ranking_sorts_tied_rows_stably():
+    # Row 0 ties at its 2nd value (three 1.0s), row 1 is all-equal, row 2
+    # has no ties. Row 3 holds -0.0 before +0.0 and row 4 +inf twice: both
+    # pairs are equal to the sort, so they keep their positions' order.
     rel = np.array(
         [
             [5.0, 1.0, 1.0, 1.0, 0.0, 9.0, 9.0, 9.0, 9.0, 9.0],
             [3.0] * 10,
             [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6, 1.0],
+            [0.5, -0.0, 0.9, 0.3, 0.7, 0.2, 0.0, 0.4, 0.6, 1.0],
+            [0.5, np.inf, 0.9, 0.3, 0.7, 0.2, np.inf, 0.4, 0.6, 1.0],
         ]
     )
-    for count in range(1, 11):
-        assert np.array_equal(grand._least_reliable(rel, count), np.argsort(np.abs(rel), kind="stable")[:, :count])
-    assert grand._least_reliable(rel, 2).tolist() == [[4, 1], [0, 1], [1, 5]]
+    # Repeated side by side, so that rows are long enough for the default
+    # sort not to be an insertion sort.
+    rel = np.tile(rel, 8)
+    ranking = grand._ranking(rel)
+    assert np.array_equal(ranking, np.argsort(rel, axis=1, kind="stable"))
+    assert ranking[:, :2].tolist() == [[4, 14], [0, 1], [1, 11], [1, 6], [5, 15]]
+    assert ranking[4, -16:].tolist() == list(range(1, 80, 5))
 
 
 def test_guess_extends_the_ranking_mid_search():
@@ -608,3 +612,13 @@ def test_guess_rejects_bad_input():
             guess(searching, oracle, 10, rel)
     with pytest.raises(ValueError, match="max_queries"):
         grand_decode(BitVec(0, PARAMS.n), oracle, max_queries=0)
+    # A float budget is refused before any search, not used as a bound and
+    # then as an index into the pattern store.
+    for bad in (1e3, 10.0, np.float64(50.0)):
+        with pytest.raises(ValueError, match="max_queries must be an integer"):
+            guess(searching, oracle, bad)
+        with pytest.raises(ValueError, match="max_queries must be an integer"):
+            grand_decode(BitVec(1, PARAMS.n), oracle, max_queries=bad)
+        with pytest.raises(ValueError, match="max_queries must be an integer"):
+            orbgrand_decode(SoftWord(samples=np.ones(PARAMS.n), llrs=np.ones(PARAMS.n), sigma=1.0), oracle, max_queries=bad)
+    assert guess(searching, oracle, np.int64(5))[2].tolist() == [5, 5, 5]
