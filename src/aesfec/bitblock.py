@@ -97,29 +97,10 @@ class BitVec:
         packed = np.frombuffer(self.to_bytes(), dtype=np.uint8)
         return np.unpackbits(packed)[: self._length]
 
-    def weight(self):
-        return self._value.bit_count()
-
     # protocol
 
     def __len__(self):
         return self._length
-
-    def __getitem__(self, pos):
-        if not 0 <= pos < self._length:
-            raise IndexError(f"bit position {pos} out of range for length {self._length}")
-        return (self._value >> (self._length - 1 - pos)) & 1
-
-    def __iter__(self):
-        v, n = self._value, self._length
-        return iter([(v >> (n - 1 - i)) & 1 for i in range(n)])
-
-    def __xor__(self, other):
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        if other._length != self._length:
-            raise ValueError(f"length mismatch: {self._length} vs {other._length}")
-        return BitVec(self._value ^ other._value, self._length)
 
     def __eq__(self, other):
         if not isinstance(other, BitVec):

@@ -72,6 +72,18 @@ CODE_KINDS = ("aes", "rlc")
 DECODER_KINDS = ("grand", "orbgrand")
 
 
+def _integer(name, value, low, high=None):
+    """value as a plain int in [low, high) (high None: no upper bound), or
+    a ValueError that names it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or high is not None and value >= high:
+        raise ValueError(f"{name} must be >= {low}" + ("" if high is None else f" and < {high}") + f", got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything a campaign depends on; two equal configs replay identically."""
@@ -94,13 +106,10 @@ class CampaignConfig:
             raise ValueError(f"ebn0_grid_db must be a sequence of numbers, got {self.ebn0_grid_db!r}")
         object.__setattr__(self, "ebn0_grid_db", tuple(float(x) for x in self.ebn0_grid_db))
         # Plain ints, so that equal configs have one canonical JSON (1e6 is
-        # not 10**6 there, and numpy integers are not JSON at all).
+        # not 10**6 there, and numpy integers are not JSON at all). Seeds
+        # may be 0; lengths and counts may not.
         for name in ("n", "k", "max_queries", "min_block_errors", "max_blocks", "master_seed", "rlc_seed"):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 0 if name.endswith("_seed") else 1))
         if self.code_kind not in CODE_KINDS:
             raise ValueError(f"code_kind must be one of {CODE_KINDS}, got {self.code_kind!r}")
         if self.decoder_kind not in DECODER_KINDS:
@@ -112,14 +121,8 @@ class CampaignConfig:
             key_from_hex(self.aes_key_hex)
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db must not be empty")
-        if any(not math.isfinite(x) for x in self.ebn0_grid_db):
-            raise ValueError(f"ebn0_grid_db must be finite, got {self.ebn0_grid_db}")
-        for name in ("max_queries", "min_block_errors", "max_blocks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("master_seed", "rlc_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for x in self.ebn0_grid_db:
+            sigma_from_ebn0(x, self.params.rate)  # a finite positive sigma, or a ValueError
 
     @property
     def params(self):
@@ -244,10 +247,8 @@ def run_block(config, point_index, trial_index):
     The block is reproduced from its containing RNG batch, so the record
     matches what a campaign computes for the same (seed, point, trial).
     """
-    if not 0 <= point_index < len(config.ebn0_grid_db):
-        raise ValueError(f"point_index {point_index} out of range")
-    if not 0 <= trial_index < config.max_blocks:
-        raise ValueError(f"trial_index {trial_index} out of range")
+    point_index = _integer("point_index", point_index, 0, len(config.ebn0_grid_db))
+    trial_index = _integer("trial_index", trial_index, 0, config.max_blocks)
     b = trial_index // TRIAL_BATCH
     rec = _Simulation(config).run_batch(point_index, b)[trial_index - b * TRIAL_BATCH]
     return BlockRecord(
@@ -321,6 +322,7 @@ def _point_result(config, point_index, recs):
 
 def run_point(config, point_index):
     """Simulate one grid point in this process until the stopping rule fires."""
+    point_index = _integer("point_index", point_index, 0, len(config.ebn0_grid_db))
     return _Executor(_Simulation(config), 1).run_point(point_index)
 
 
@@ -545,12 +547,7 @@ def run_campaign(config, workers=1, progress=False):
     The calling process runs every workers-th batch, and workers - 1
     forked workers run the rest (see _Executor).
     """
-    try:
-        workers = operator.index(workers)
-    except TypeError:
-        raise ValueError(f"workers must be an integer, got {workers!r}") from None
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _integer("workers", workers, 1)
     from . import __version__
 
     t0 = time.perf_counter()

@@ -33,7 +33,13 @@ def sigma_from_ebn0(ebn0_db, rate):
     """Noise standard deviation for BPSK at the given Eb/N0 and code rate."""
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"Eb/N0 {ebn0_db} dB gives no finite positive noise sigma at rate {rate}")
+    return sigma
 
 
 @dataclass(frozen=True)

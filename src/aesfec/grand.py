@@ -32,18 +32,20 @@ where the budget or the pattern space ends.
 Candidates are tested as images, not words (see aesfec.codes): the oracle
 maps words linearly to images, so the image of y ^ e is the image of y
 XORed with the images of the positions e flips, the oracle's
-image_columns. GRAND XORs, for each position in a pattern, that
-position's column image, and XORs the pattern images onto each row's
-image; ORBGRAND XORs, for each rank in a pattern, the image of what that
-rank flips in that row, from a table of every rank's image in every row,
+image_columns. Each order supplies a table whose entry r, a is the image
+of the position rank r flips in row a: for GRAND, whose ranks are
+positions, the column images, one entry serving every row; for ORBGRAND,
 built once per call from the rows' stable rankings of |LLR| (_ranking).
-Acceptance of an image is acceptance of the word it images, so the
-queries counted, the blocks accepted and the budget cut are those of a
-search over words. Only for the rows that hit is the word y ^ e built
-(from the one-bit masks), once per call, for one decode_batch call. Step
-arrays are written into the process's scratch buffers
-(aesfec.codes.scratch), reused across steps and calls, so a process runs
-one search at a time.
+A step XORs each pattern's entries, then each row's image, a lane at a
+time (the widest unsigned integer dividing the image width): a broadcast
+XOR whose innermost axis is an image's few lanes or bytes runs several
+times slower. Acceptance of an image is acceptance of the word it images,
+so the queries counted, the blocks accepted and the budget cut are those
+of a search over words. A hit records only its query count; then each
+hit row's pattern is read back from the store, and its word y ^ e built
+from the one-bit masks, for one decode_batch call. Step arrays are
+written into the process's scratch buffers (aesfec.codes.scratch),
+reused across steps and calls, so a process runs one search at a time.
 grand_decode and orbgrand_decode are one-row calls into the core.
 
 Words are packed (np.packbits layout). Patterns come from one kind of
@@ -201,6 +203,10 @@ class _Patterns:
             width = max(width, self.sizes[start - 1])
         return self._sets[i0:i1, :width]
 
+    def at(self, index):
+        """Rows index (read before), padded with zeros to the widest held."""
+        return self._sets[index]
+
 
 def _hamming_blocks(n):
     """Position sets in Hamming order, in blocks of one weight and top position.
@@ -279,18 +285,6 @@ def _patterns(n, blocks):
     return _Patterns(blocks(n))
 
 
-def _xor_outer(patterns, rows, out):
-    """(c, L) pattern images XOR (r, L) row images into out, (c, r, L), in
-    lanes of the widest unsigned integer that divides the image width.
-
-    XORs a lane at a time: a broadcast XOR whose innermost axis is an
-    image's few lanes or bytes runs several times slower.
-    """
-    for j in range(patterns.shape[1]):
-        np.bitwise_xor(patterns[:, j, None], rows[:, j], out=out[:, :, j])
-    return out
-
-
 def _ranking(rel):
     """np.argsort(rel, axis=1, kind="stable"), from the faster default sort:
     a row without two equal values has one sorted order, so only the rows
@@ -346,58 +340,52 @@ def guess(words, oracle, max_queries, reliability=None):
     found = np.array(ok, dtype=bool)
     blocks = np.array(blocks, dtype=np.uint8)  # a copy: some oracles hand back their input
     queries = np.ones(len(words), dtype=np.int64)
-    active = np.flatnonzero(~found)
+    active = searched = np.flatnonzero(~found)
     image = np.ascontiguousarray(oracle.images(words[active]))
-    columns = _with_zero_row(oracle.image_columns())
+    lane = f"u{gcd(image.shape[1], 8)}"
+    image, columns = image.view(lane), _with_zero_row(oracle.image_columns()).view(lane)
+    # order[r, a] is 1 + the position that rank r flips in row a, and 0 for
+    # rank 0 (padding): an index into columns below a zero row. table[r, a]
+    # is that position's image; a table of one column serves every row.
     if reliability is None:
         store = _patterns(n, _hamming_blocks)
-        lane = f"u{gcd(image.shape[1], 8)}"  # pattern images are built in _xor_outer's lanes
-        image, columns = image.view(lane), columns.view(lane)
+        order = np.broadcast_to(np.arange(n + 1)[:, None], (n + 1, len(active)))
+        table = columns[:, None]
     else:
         store = _patterns(n, _logistic_blocks)
         rel = np.asarray(reliability).take(active, axis=0)
         # Only the rows that search read theirs; min propagates NaN.
         if rel.size and not rel.min() >= 0:
             raise ValueError("reliabilities must be nonnegative |LLR|s; a row that searches has a negative or NaN one")
-        # order[r, a] is 1 + the position that rank r names in row a, and 0
-        # for rank 0 (padding): an index into columns below a zero row.
         order = _with_zero_row(1 + _ranking(rel).T)
-        # (n + 1, rows, w): entry r, a is the image of what rank r flips in
-        # row a. take and compress here measured 5-10x faster than the same
-        # fancy indexing.
-        rank_images = columns.take(order, axis=0, out=scratch("rank images", (n + 1, *image.shape), columns.dtype), mode="clip")
-    hits = []  # per step with hits: (rows, 1 + the positions each one's pattern flips)
+        # take and compress measured 5-10x faster than the same fancy indexing.
+        table = columns.take(order, axis=0, out=scratch("rank images", (n + 1, *image.shape), lane), mode="clip")
     space = min(max_queries, 1 << n)
     i, c = 1, _FIRST_STEP
     while active.size and i < space:
         c = min(c, max(1, _MAX_WORDS // active.size), space - i)
         ranks = store.ranks(i, i + c)
+        pattern = _xor_gather(table, ranks, scratch("patterns", (c, *table.shape[1:]), lane))
         # Candidate images are pattern-major: (c, rows, w).
-        cand = scratch("candidates", (c, *image.shape), image.dtype)
-        if reliability is None:
-            _xor_outer(_xor_gather(columns, ranks, scratch("patterns", (c, image.shape[1]), image.dtype)), image, cand)
-        else:
-            _xor_gather(rank_images, ranks, cand)
-            cand ^= image
+        cand = scratch("candidates", (c, *image.shape), lane)
+        for j in range(image.shape[1]):
+            np.bitwise_xor(pattern[:, :, j], image[:, j], out=cand[:, :, j])
         ok = oracle.accept_images(cand.view(np.uint8).reshape(c * len(active), -1)).reshape(c, len(active))
         hit = ok.any(axis=0)
         if hit.any():
-            rows = np.flatnonzero(hit)
-            col = ok[:, rows].argmax(axis=0)
-            done = active[rows]
-            found[done] = True
-            queries[done] = i + 1 + col
-            hits.append((done, ranks[col] if reliability is None else order[ranks[col], rows[:, None]]))
+            found[active[hit]] = True
+            queries[active[hit]] = i + 1 + ok[:, hit].argmax(axis=0)
             keep = ~hit
             active, image = active[keep], image[keep]
-            if reliability is not None:
-                order, rank_images = order[:, keep], rank_images.compress(keep, axis=1)
+            if table.shape[1] > 1:
+                table = table.compress(keep, axis=1)
         i += c
         c *= _GROWTH
     queries[active] = i
-    if hits:
-        done = np.concatenate([d for d, _ in hits])
-        flips = _stacked([f for _, f in hits])
+    hit = np.flatnonzero(found[searched])
+    if hit.size:
+        done = searched[hit]
+        flips = order[store.at(queries[done] - 1), hit[:, None]]
         e = np.bitwise_xor.reduce(_with_zero_row(one_bit_masks(n)).take(flips, axis=0), axis=1)
         blocks[done] = oracle.decode_batch(words[done] ^ e)[1]
     return found, blocks, queries
@@ -405,13 +393,13 @@ def guess(words, oracle, max_queries, reliability=None):
 
 def _outcome(oracle, blocks_of, weigh, result):
     """One row's DecodeOutcome; weigh maps the accepted set of the order
-    blocks_of to its final_weight."""
+    blocks_of, padded with zeros, to its final_weight."""
     found, blocks, queries = (a[0] for a in result)
     queries = int(queries)
     if not found:
         return DecodeOutcome(message=None, queries=queries, final_weight=None)
     full = BitVec.from_bytes(blocks.tobytes(), oracle.params.n)
-    accepted = _patterns(oracle.params.n, blocks_of).ranks(queries - 1, queries)[0]
+    accepted = _patterns(oracle.params.n, blocks_of).at(queries - 1)
     return DecodeOutcome(
         message=split(full, oracle.params.k)[0],
         queries=queries,
@@ -424,7 +412,7 @@ def grand_decode(y, oracle, max_queries=DEFAULT_MAX_QUERIES):
     if len(y) != oracle.params.n:
         raise ValueError(f"expected {oracle.params.n}-bit word, got {len(y)}")
     words = np.frombuffer(y.to_bytes(), dtype=np.uint8)[None]
-    return _outcome(oracle, _hamming_blocks, len, guess(words, oracle, max_queries))
+    return _outcome(oracle, _hamming_blocks, np.count_nonzero, guess(words, oracle, max_queries))
 
 
 def orbgrand_decode(word, oracle, max_queries=DEFAULT_MAX_QUERIES):

@@ -84,6 +84,12 @@ class TestConfig:
             dict(ebn0_grid_db=b"78"),
             dict(ebn0_grid_db=7.0),
             dict(ebn0_grid_db=np.float64(7.0)),
+            # Eb/N0 values without a finite positive sigma: overflow, a zero
+            # divisor, sigma 0 and sigma inf.
+            dict(ebn0_grid_db=(6.0, 3090.0)),
+            dict(ebn0_grid_db=(6.0, -3240.0)),
+            dict(ebn0_grid_db=(6.0, 3080.0)),
+            dict(ebn0_grid_db=(6.0, -3100.0)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -174,6 +180,30 @@ class TestDeterminism:
         a = run_block(cfg, 0, 137)
         b = run_block(cfg, 0, 137)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda cfg: run_point(cfg, 1), "point_index"),
+            (lambda cfg: run_point(cfg, -1), "point_index"),
+            (lambda cfg: run_point(cfg, 0.0), "point_index"),
+            (lambda cfg: run_block(cfg, 1, 0), "point_index"),
+            (lambda cfg: run_block(cfg, 0, 1.0), "trial_index"),
+            (lambda cfg: run_block(cfg, 0, -1), "trial_index"),
+            (lambda cfg: run_block(cfg, 0, cfg.max_blocks), "trial_index"),
+        ],
+        ids=["point-past-grid", "point-negative", "point-float", "block-point-past-grid", "trial-float",
+             "trial-negative", "trial-past-max-blocks"],
+    )
+    def test_rejects_bad_indices(self, call, name):
+        with pytest.raises(ValueError, match=name):
+            call(CampaignConfig(**FAST))
+
+    def test_run_block_takes_numpy_indices_as_ints(self):
+        cfg = CampaignConfig(**FAST)
+        rec = run_block(cfg, np.int64(0), np.int64(137))
+        assert rec == run_block(cfg, 0, 137)
+        assert type(rec.point_index) is int and type(rec.trial_index) is int
 
     def test_worker_count_invariance(self):
         cfg = CampaignConfig(**FAST)

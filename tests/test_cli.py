@@ -140,6 +140,23 @@ def test_run_rejects_key_with_spaces_before_output(tmp_path):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("ebn0", ["3090", "-3240", "3080", "-3100"])
+def test_run_rejects_ebn0_without_a_sigma_before_output(tmp_path, ebn0):
+    out = tmp_path / "out" / "x.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aesfec.cli", "run", "--code", "rlc", f"--ebn0={ebn0}", "--out", str(out), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: Eb/N0") and "Traceback" not in proc.stderr
+    assert not out.parent.exists()
+
+
 def test_run_rejects_bad_combo(tmp_path, capsys):
     rc = main(
         [

@@ -90,10 +90,8 @@ class TestAesCode:
         cw = aes_encode(m, PARAMS, self.cipher)
         rejected = 0
         for pos in range(64):
-            flip = BitVec.from_array(
-                np.eye(128, dtype=np.uint8)[pos]
-            )
-            if decoded_message(self.oracle, cw ^ flip) is None:
+            flipped = BitVec.from_array(cw.to_array() ^ np.eye(128, dtype=np.uint8)[pos])
+            if decoded_message(self.oracle, flipped) is None:
                 rejected += 1
         assert rejected == 64
 
@@ -206,8 +204,8 @@ class TestRlc:
         # single flips are never codewords: minimum distance exceeds 1
         # for this draw (no all-zero row in P)
         for pos in range(0, 128, 7):
-            flip = BitVec.from_array(np.eye(128, dtype=np.uint8)[pos])
-            assert decoded_message(self.oracle, cw ^ flip) is None
+            flipped = BitVec.from_array(cw.to_array() ^ np.eye(128, dtype=np.uint8)[pos])
+            assert decoded_message(self.oracle, flipped) is None
 
     def test_seeded_draw_is_reproducible(self):
         again = rlc_generate(PARAMS, seed=1)

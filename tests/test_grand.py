@@ -71,6 +71,13 @@ def test_logistic_order_is_lazy():
     assert head == [(), (1,), (2,), (3,)]
 
 
+def flipped(word, *positions):
+    """The BitVec word with the bits at positions flipped."""
+    bits = word.to_array()
+    bits[list(positions)] ^= 1
+    return BitVec.from_array(bits)
+
+
 class TestGrand:
     def setup_method(self):
         self.cipher = Aes128(KEY)
@@ -87,8 +94,7 @@ class TestGrand:
 
     @pytest.mark.parametrize("pos", [0, 5, 64, 127])
     def test_single_flip_query_count(self, pos):
-        flip = BitVec.from_array(np.eye(128, dtype=np.uint8)[pos])
-        out = grand_decode(self.cw ^ flip, self.oracle)
+        out = grand_decode(flipped(self.cw, pos), self.oracle)
         assert out.message == self.m
         # weight-1 patterns are tried in increasing word value: pattern
         # for position p is the (p+1)-th, after the zero pattern
@@ -98,25 +104,20 @@ class TestGrand:
     def test_double_flip_weight(self):
         # positions 0 and 1 form the first weight-2 pattern, so the true
         # pattern is reached at query 1 + 128 + 1
-        flip = BitVec.from_array(
-            (np.eye(128, dtype=np.uint8)[0] + np.eye(128, dtype=np.uint8)[1])
-        )
-        out = grand_decode(self.cw ^ flip, self.oracle, max_queries=DEFAULT_MAX_QUERIES)
+        out = grand_decode(flipped(self.cw, 0, 1), self.oracle, max_queries=DEFAULT_MAX_QUERIES)
         assert out.message == self.m
         assert out.final_weight == 2
         assert out.queries == 130
 
     def test_budget_abandonment(self):
-        flip = BitVec.from_array(np.eye(128, dtype=np.uint8)[100])
-        out = grand_decode(self.cw ^ flip, self.oracle, max_queries=50)
+        out = grand_decode(flipped(self.cw, 100), self.oracle, max_queries=50)
         assert out.abandoned
         assert out.message is None
         assert out.queries == 50
         assert out.final_weight is None
 
     def test_budget_exactly_sufficient(self):
-        flip = BitVec.from_array(np.eye(128, dtype=np.uint8)[100])
-        out = grand_decode(self.cw ^ flip, self.oracle, max_queries=102)
+        out = grand_decode(flipped(self.cw, 100), self.oracle, max_queries=102)
         assert out.message == self.m
         assert out.queries == 102
 
@@ -305,7 +306,7 @@ def test_hamming_store_matches_reference(n):
 def test_hamming_masks_match_reference(n, cache_bytes):
     # The pattern masks as guess builds them from the store: the one-bit
     # masks below a zero row, XORed by each row's position set in the
-    # lanes of _xor_outer. cache_bytes = 0 reads an empty store, which
+    # lanes guess XORs in. cache_bytes = 0 reads an empty store, which
     # grows at the reads; otherwise the store first takes as many rows as
     # cache_bytes holds (all 2^n here), and the reads only slice it.
     store = grand._Patterns(grand._hamming_blocks(n))
@@ -568,10 +569,10 @@ def test_guess_rows_match_the_same_rows_alone_as_buffers_change_shape():
     # 256-row low-SNR batches with a 10^4 budget reach steps of _MAX_WORDS
     # candidates. The calls alternate between GRAND and ORBGRAND and between
     # codes whose images differ: 2-byte rlc syndromes in one uint16 lane,
-    # 16-byte AES words and rlc136 syndromes in two uint64 lanes (ORBGRAND
-    # builds all of them in bytes), and 17-byte rlc136 words. So each call
-    # reuses step buffers that the call before it shaped and typed
-    # otherwise, and every row must come out as it does alone.
+    # 16-byte AES words and rlc136 syndromes in two uint64 lanes, and
+    # 17-byte rlc136 words. So each call reuses step buffers that the call
+    # before it shaped and typed otherwise, and every row must come out as
+    # it does alone.
     rng = np.random.default_rng(1017)
     calls = []
     for case, ebn0 in (("aes", 3.5), ("rlc", 3.5), ("rlc136", 7.0)):
