@@ -13,19 +13,19 @@ record concatenated in batch order, so batches computed past it never
 change which trials are counted. Abandoned blocks (query budget exhausted)
 count as block errors with ceil(k/2) message bit errors.
 
-A campaign builds its working state once (_Simulation: the oracle over
-its cipher or code, the message mask, the per-point sigmas); batches
-draw their channel arrays into per-process scratch buffers. A campaign
-on W workers runs as W runs of one loop (_Executor): the calling process
-is worker 0, and W - 1 forked workers inherit the state. Worker r of W
-runs batches r, r + W, r + 2W, ... of each point, points in order; the
-forked ones send each finished batch's records down their own pipe, and
-the calling process reads batch b from the pipe of worker b mod W. As
-soon as the batches in order hold a point's stopping trial, it publishes
-the point's batch count in shared memory; each forked worker reads it
-before its next batch and moves on to the next point, so no worker waits
-for another and the work past a stopping trial is a batch or two per
-worker, and never more than its pipe holds.
+A campaign builds its working state once (_Simulation: the oracle over its
+cipher or code, the message mask, the per-point sigmas). Its unit of work
+is a chunk: worker r of W runs batches r, r + W, ... of each point, points
+in order, in chunks of 1, 2, 4, 4, ... batches (_chunks), each drawn batch
+by batch into per-process scratch buffers and decoded in one guess call
+(run_batches). The calling process is worker 0; W - 1 forked workers
+inherit the state (_Executor) and send each batch's records down their own
+pipe, and the calling process reads batch b from the pipe of worker b mod
+W. As soon as the batches in order hold a point's stopping trial, it
+publishes the point's batch count in shared memory, and each forked worker
+clips its next chunk to it, so no worker waits for another. Past a
+stopping trial, a worker computes at most the rest of its chunk and, if
+forked, what its pipe holds.
 """
 
 from __future__ import annotations
@@ -208,37 +208,45 @@ class _Simulation:
 
     def run_batch(self, point, batch):
         """The records of batch `batch` of grid point `point`."""
+        return self.run_batches(point, [batch])[0]
+
+    def run_batches(self, point, batches):
+        """The records of grid point `point`'s batches, one array per batch.
+        Each batch draws from its own generators (see the module docstring);
+        one guess call decodes the rows of all of them."""
         cfg = self.config
         n, k = cfg.n, cfg.k
-        size = min(TRIAL_BATCH, cfg.max_blocks - batch * TRIAL_BATCH)
-        mrng = np.random.default_rng((cfg.master_seed, point, batch, 0))
-        msgs = mrng.integers(0, 2, size=(size, k), dtype=np.uint8)
-        nrng = np.random.default_rng((cfg.master_seed, point, batch, 1))
-        padded = np.zeros((size, n), dtype=np.uint8)
-        padded[:, :k] = msgs
-        # A correct decode hands back the message in its first k bits: the
-        # padded plaintext for the aes code, the systematic codeword for the rlc.
-        ref = np.packbits(padded, axis=1)
-        if cfg.code_kind == "aes":
-            cw_bits = np.unpackbits(self.oracle.cipher.encrypt_batch(ref), axis=1)
-        else:
-            cw_bits = self.oracle.code.encode_bits(msgs)
+        sizes = [min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH) for b in batches]
+        ends = np.cumsum(sizes)
+        ref, words = np.empty((2, ends[-1], cfg.params.nbytes), dtype=np.uint8)
+        reliability = scratch("reliability", (len(ref), n), np.float64) if cfg.decoder_kind == "orbgrand" else None
         sigma = self.sigmas[point]
-        x = modulate(cw_bits, out=scratch("x", (size, n), np.float64))
-        y = awgn_samples(x, sigma, nrng, out=scratch("y", (size, n), np.float64))
-
-        reliability = None
-        if cfg.decoder_kind == "orbgrand":
-            rel = scratch("reliability", (size, n), np.float64)
-            reliability = np.abs(llr_from_samples(y, sigma, out=rel), out=rel)
-        words = np.packbits(hard_bits(y, out=scratch("hard bits", (size, n), np.uint8)), axis=1)
+        for b, end, size in zip(batches, ends, sizes):
+            rows = slice(end - size, end)
+            msgs = np.random.default_rng((cfg.master_seed, point, b, 0)).integers(0, 2, size=(size, k), dtype=np.uint8)
+            # A correct decode hands back the message in its first k bits: the
+            # padded plaintext for the aes code, the systematic codeword for the rlc.
+            ref[rows] = 0
+            ref[rows, : -(-k // 8)] = np.packbits(msgs, axis=1)
+            if cfg.code_kind == "aes":
+                cw_bits = np.unpackbits(self.oracle.cipher.encrypt_batch(ref[rows]), axis=1)
+            else:
+                cw_bits = self.oracle.code.encode_bits(msgs)
+            x = modulate(cw_bits, out=scratch("x", (size, n), np.float64))
+            # ORBGRAND's samples are drawn into their rows' reliabilities,
+            # which become |LLR|s in place once the bits are decided.
+            y = scratch("y", (size, n), np.float64) if reliability is None else reliability[rows]
+            y = awgn_samples(x, sigma, np.random.default_rng((cfg.master_seed, point, b, 1)), out=y)
+            words[rows] = np.packbits(hard_bits(y, out=scratch("hard bits", (size, n), np.uint8)), axis=1)
+            if reliability is not None:
+                np.abs(llr_from_samples(y, sigma, out=y), out=y)
         found, blocks, queries = guess(words, self.oracle, cfg.max_queries, reliability)
-        rec = np.empty(size, _RECORD)
+        rec = np.empty(len(ref), _RECORD)
         rec["bit_errors"] = np.bitwise_count((blocks ^ ref) & self.msg_mask).sum(axis=1, dtype=np.int64)
         rec["bit_errors"][~found] = (k + 1) // 2
         rec["queries"] = queries
         rec["abandoned"] = ~found
-        return rec
+        return np.split(rec, ends[:-1])
 
 
 def run_block(config, point_index, trial_index):
@@ -330,24 +338,30 @@ def run_point(config, point_index):
 # and the worker's rank followed by its pickled (exception, traceback).
 _HEADER = struct.Struct("<qq")
 
+_CHUNK = 4  # batches per chunk at most (1,024 rows in one guess call)
+
+
+def _chunks(rank, workers, n_batches, stop, p):
+    """Worker `rank`'s batches rank, rank + workers, ... of point p in chunks
+    of 1, 2, 4, ... batches up to _CHUNK (so a stop in batch 0 costs the
+    calling process that batch alone), each clipped to stop[p], the point's
+    published batch count, as read before the chunk."""
+    b, size = rank, 1
+    while chunk := range(b, min(n_batches, stop[p], b + size * workers), workers):
+        yield chunk
+        b, size = b + size * workers, min(2 * size, _CHUNK)
+
 
 def _worker(sim, rank, workers, stop, conn):
     """Body of campaign worker `rank` of `workers`, on the _Simulation it
-    inherits from the parent.
-
-    Runs batches rank, rank + workers, ... of each grid point, points in
-    order, and sends each batch's records down its pipe as soon as they are
-    done, blocking while the pipe is full. Before each batch it reads
-    stop[point], the batch count the parent publishes once the point's
-    stopping trial is known, and moves on to the next point when its next
-    batch lies past it.
-    """
+    inherits from the parent: runs its chunks (_chunks) of each grid point,
+    points in order, and sends each batch's records down its pipe once its
+    chunk is done, blocking while the pipe is full."""
     try:
         for p in range(len(sim.sigmas)):
-            for b in range(rank, _n_batches(sim.config), workers):
-                if b >= stop[p]:
-                    break
-                conn.send_bytes(_HEADER.pack(p, b) + sim.run_batch(p, b).tobytes())
+            for chunk in _chunks(rank, workers, _n_batches(sim.config), stop, p):
+                for b, rec in zip(chunk, sim.run_batches(p, chunk)):
+                    conn.send_bytes(_HEADER.pack(p, b) + rec.tobytes())
     except Exception as exc:
         import traceback
 
@@ -363,18 +377,19 @@ def _worker(sim, rank, workers, stop, conn):
 
 
 class _Executor:
-    """One campaign's batch loop on W workers: the calling process is worker
+    """One campaign's chunk loop on W workers: the calling process is worker
     0, and ranks 1..W-1 are forked from a pinned fork context, inheriting
     the _Simulation and the imported modules. (Spawn or forkserver, which
     Python 3.14 made the default on Linux, would pay the interpreter
     start-up and imports, about 0.1 s, again in every campaign.) Batch b of
-    a point belongs to worker b mod W: the calling process runs its own
-    batches and reads each other batch from its owner's pipe, which carries
-    that worker's batches in (point, batch) order, and it publishes each
-    point's stop (see the module docstring). A forked worker runs ahead of
-    the calling process only until its pipe is full (ten batches fill a
-    64 KiB Linux pipe) and then blocks in send_bytes; close() terminates it
-    there.
+    a point belongs to worker b mod W, and each worker runs its batches in
+    the chunks of _chunks: the calling process runs its own chunk by chunk
+    as it needs them and reads each other batch from its owner's pipe,
+    which carries that worker's batches in (point, batch) order, and it
+    publishes each point's stop (see the module docstring). A forked worker
+    runs ahead of the calling process until its pipe is full (ten batches
+    fill a 64 KiB Linux pipe) and blocks in send_bytes, so it is at most a
+    pipe and a chunk (four batches) ahead; close() terminates it there.
     """
 
     def __init__(self, sim, workers):
@@ -407,9 +422,11 @@ class _Executor:
         return _point_result(self.config, point_index, recs)
 
     def _ordered(self, p):
+        chunks = _chunks(0, self.workers, _n_batches(self.config), self.stop, p)
+        own = (rec for chunk in chunks for rec in self.sim.run_batches(p, chunk))
         for b in range(_n_batches(self.config)):
             rank = b % self.workers
-            yield self._receive(rank, p) if rank else self.sim.run_batch(p, b)
+            yield self._receive(rank, p) if rank else next(own)
 
     def _receive(self, rank, p):
         """The next batch of point p from worker `rank`'s pipe, past its

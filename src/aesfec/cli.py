@@ -15,6 +15,10 @@ from .campaign import CampaignConfig, CampaignResult, run_campaign
 __all__ = ["main", "parse_grid", "plot_data_csv"]
 
 
+# Grid points at most; a range is counted before it is built.
+MAX_GRID_POINTS = 1000
+
+
 def parse_grid(text):
     """Eb/N0 grid: 'start:step:stop' (inclusive) or a comma list or one value."""
     try:
@@ -23,16 +27,20 @@ def parse_grid(text):
             if len(parts) != 3:
                 raise ValueError("expected start:step:stop")
             start, step, stop = (float(p) for p in parts)
+            if not all(math.isfinite(v) for v in (start, step, stop)):
+                raise ValueError("start, step and stop must be finite")
             if step <= 0:
                 raise ValueError("step must be positive")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            values = tuple(round(start + i * step, 12) for i in range(count))
+            span = (stop - start) / step + 1e-9  # inf if the quotient overflows
+            if not span < MAX_GRID_POINTS:
+                raise ValueError(f"a grid holds 1 to {MAX_GRID_POINTS} points")
+            values = tuple(round(start + i * step, 12) for i in range(int(span) + 1))
         else:
             values = tuple(float(p) for p in text.split(","))
-        if not values:
-            raise ValueError("grid is empty")
+        if not 0 < len(values) <= MAX_GRID_POINTS:
+            raise ValueError(f"a grid holds 1 to {MAX_GRID_POINTS} points")
         if any(not math.isfinite(v) for v in values):
             raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -81,7 +89,7 @@ def build_parser():
         "--ebn0",
         type=parse_grid,
         default=parse_grid("6:0.5:8"),
-        help="Eb/N0 grid in dB: start:step:stop or comma list (default 6:0.5:8)",
+        help=f"Eb/N0 grid in dB: start:step:stop or comma list, at most {MAX_GRID_POINTS} points (default 6:0.5:8)",
     )
     run.add_argument("--max-queries", type=_positive_int, default=10**6, help="abandon a block after this many oracle queries")
     run.add_argument("--min-block-errors", type=_positive_int, default=100, help="stop a point after this many block errors")
@@ -94,8 +102,8 @@ def build_parser():
         type=_positive_int,
         default=1,
         help="processes per campaign: 1 runs in this process; W > 1 forks W - 1 workers beside this process; "
-        "each of the W runs every W-th batch of a point until the point's stop is published "
-        "(results do not depend on W)",
+        "each of the W runs every W-th batch of a point, up to 4 of them per decoder call, until the point's "
+        "stop is published (results do not depend on W)",
     )
     run.add_argument("--out", type=Path, default=None, help="output JSON path (default campaign_<code>_<decoder>.json)")
     run.add_argument("--quiet", action="store_true", help="suppress per-point progress lines")

@@ -29,24 +29,28 @@ more than _MAX_WORDS candidates. A row retires at the first accepting
 column of its step, after i + column + 1 queries, and is abandoned exactly
 where the budget or the pattern space ends.
 
-Candidates are tested as images, not words (see aesfec.codes): the oracle
-maps words linearly to images, so the image of y ^ e is the image of y
-XORed with the images of the positions e flips, the oracle's
+Candidates are tested as images, not words (see aesfec.codes): the
+oracle maps words linearly to images, so the image of y ^ e is the image
+of y XORed with the images of the positions e flips, the oracle's
 image_columns. Each order supplies a table whose entry r, a is the image
 of the position rank r flips in row a: for GRAND, whose ranks are
 positions, the column images, one entry serving every row; for ORBGRAND,
-built once per call from the rows' stable rankings of |LLR| (_ranking).
-A step XORs each pattern's entries, then each row's image, a lane at a
-time (the widest unsigned integer dividing the image width): a broadcast
-XOR whose innermost axis is an image's few lanes or bytes runs several
-times slower. Acceptance of an image is acceptance of the word it images,
-so the queries counted, the blocks accepted and the budget cut are those
-of a search over words. A hit records only its query count; then each
-hit row's pattern is read back from the store, and its word y ^ e built
-from the one-bit masks, for one decode_batch call. Step arrays are
-written into the process's scratch buffers (aesfec.codes.scratch),
-reused across steps and calls, so a process runs one search at a time.
-grand_decode and orbgrand_decode are one-row calls into the core.
+from the rows' stable rankings of |LLR| (_ranking), only as wide as the
+ranks the steps read: it holds rank 0 at first and at least doubles, for
+the rows still searching, when a step reads past it (searches at 4.5 dB
+read ranks up to 54). A step XORs each pattern's entries in lanes (the
+widest unsigned integer dividing the image width), copies the patterns
+over the rows as whole images and XORs the rows' images in flat: an XOR
+whose innermost axis is an image's few lanes runs several times slower.
+Acceptance of an image is acceptance of the word it images, so the
+queries counted, the blocks accepted and the budget cut are those of a
+search over words. A hit records only its query count; then each hit
+row's pattern is read back from the store, and its word y ^ e built from
+the one-bit masks, for one decode_batch call. Step arrays and ORBGRAND's
+ranking are written into the process's scratch buffers
+(aesfec.codes.scratch), reused across steps and calls, so a process runs
+one search at a time. grand_decode and orbgrand_decode are one-row calls
+into the core.
 
 Words are packed (np.packbits layout). Patterns come from one kind of
 per-n store, _Patterns, of 1-based position or rank sets, which takes
@@ -92,6 +96,7 @@ _FIRST_STEP = 16
 _GROWTH = 4
 # Candidates per oracle call at most (256 KiB of words at n = 128).
 _MAX_WORDS = 1 << 14
+_RANK_ROWS = 256  # rows per _ranking call at most, so that its buffers stay batch-sized
 
 
 def hamming_order_patterns(n):
@@ -234,8 +239,9 @@ def _logistic_blocks(n):
     """Rank sets in logistic order, in blocks of one rank sum and set size.
 
     The sets of m ranks with sum w are memoised per (w, m) and built in one
-    array from the sets of m - 1 ranks: their first ranks repeated, then
-    one add.
+    array from two smaller sums: less 1 each, those that start at rank 1
+    are 1 followed by a set of m - 1 ranks summing to w - m, and the others,
+    which follow them, are a set of m ranks summing to w - m.
     """
     dtype = np.min_scalar_type(n)
 
@@ -243,25 +249,17 @@ def _logistic_blocks(n):
     def distinct(w, m):
         # (count, m) sets of m distinct ranks in 1..n summing to w, in
         # lexicographic order (what _distinct_parts yields).
-        if m == 1:
-            return np.array([[w]] if w <= n else np.zeros((0, 1)), dtype=dtype)
-        # With first rank a, the other m - 1 ranks, each minus a, are a set
-        # summing to w - m a whose largest rank is n - a at most. That bound
-        # can only bite where such a set may reach past it: its largest rank
-        # is at most its sum less 1 + 2 + ... + (m - 2).
-        firsts, rests = [], []
-        for a in range(1, (w - m * (m - 1) // 2) // m + 1):
-            rest = distinct(w - m * a, m - 1)
-            if w - m * a - (m - 1) * (m - 2) // 2 > n - a:
-                rest = rest[rest[:, -1] <= n - a]
-            firsts.append(a)
-            rests.append(rest)
-        sets = np.empty((sum(len(r) for r in rests), m), dtype=dtype)
-        sets[:, 0] = np.repeat(firsts, [len(r) for r in rests])
-        np.add(np.concatenate(rests), sets[:, :1], out=sets[:, 1:])
-        return sets
+        if m == 0 or w < m * (m + 1) // 2:
+            return np.zeros((int(w == m == 0), m), dtype=dtype)  # the empty set, or none
+        ones, rest = distinct(w - m, m - 1), distinct(w - m, m)
+        sets = np.empty((len(ones) + len(rest), m), dtype=dtype)
+        sets[: len(ones), 0] = 1
+        np.add(ones, 1, out=sets[: len(ones), 1:])
+        np.add(rest, 1, out=sets[len(ones) :])
+        # The largest rank is w less 1 + 2 + ... + (m - 1) at most.
+        return sets[sets[:, -1] <= n] if w - m * (m - 1) // 2 > n else sets
 
-    yield np.zeros((1, 0), dtype=dtype)  # the empty set
+    yield distinct(0, 0)
     for w in range(1, n * (n + 1) // 2 + 1):
         m = 1
         while m * (m + 1) // 2 <= w:
@@ -285,15 +283,28 @@ def _patterns(n, blocks):
     return _Patterns(blocks(n))
 
 
-def _ranking(rel):
-    """np.argsort(rel, axis=1, kind="stable"), from the faster default sort:
-    a row without two equal values has one sorted order, so only the rows
-    whose sorted values hold two equal neighbours are sorted again, stably."""
-    order = rel.argsort(axis=1)
-    vals = np.take_along_axis(rel, order, axis=1)
-    tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
-    if tied.any():
-        order[tied] = rel[tied].argsort(axis=1, kind="stable")
+def _ranking(rel, rows):
+    """np.argsort(rel[rows], axis=1, kind="stable") of float64 rel in
+    np.min_scalar_type(n); a ValueError if one of the rows holds a negative
+    or NaN value. Nonnegative float64s order as their bits do, the sign bit
+    (set on -0.0) cleared, so the bits with the position in place of the
+    last mantissa bits sort (faster than an argsort) to the positions in
+    value order, unless two of a row's values agree in all other bits: only
+    such rows are sorted again, stably."""
+    n = rel.shape[1]
+    vals = rel.take(rows, axis=0, out=scratch("rank keys", (len(rows), n), np.float64), mode="clip")
+    if vals.size and not vals.min() >= 0:  # min propagates NaN
+        raise ValueError("reliabilities must be nonnegative |LLR|s; a row that searches has a negative or NaN one")
+    keys, shift = vals.view(np.uint64), max(1, (n - 1).bit_length())
+    keys &= np.uint64((1 << 63) - (1 << shift))
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    order = np.bitwise_and(keys, np.uint64((1 << shift) - 1), out=np.empty(keys.shape, np.min_scalar_type(n)), casting="unsafe")
+    keys >>= np.uint64(shift)
+    tied = keys[:, 1:] == keys[:, :-1]
+    if tied.any():  # a whole-array any is several times faster than one per row
+        tied = tied.any(axis=1)
+        order[tied] = rel[rows[tied]].argsort(axis=1, kind="stable")
     return order
 
 
@@ -317,12 +328,12 @@ def guess(words, oracle, max_queries, reliability=None):
     """Decode every row of a batch of packed hard-decision words in lockstep.
 
     reliability=None searches the Hamming order (GRAND); a (B, n) array of
-    |LLR| per row searches the logistic order through each row's own
-    reliability ranks (ORBGRAND). Returns (found (B,), blocks (B, nbytes),
-    queries (B,)). A found row's block is what the oracle decoded at its
-    first acceptance, reached at query `queries`; a row not found was
-    abandoned after min(max_queries, 2^n) queries, and its block is
-    meaningless.
+    |LLR| per row, read as float64, searches the logistic order through
+    each row's own reliability ranks (ORBGRAND). Returns (found (B,),
+    blocks (B, nbytes), queries (B,)). A found row's block is what the
+    oracle decoded at its first acceptance, reached at query `queries`; a
+    row not found was abandoned after min(max_queries, 2^n) queries, and
+    its block is meaningless.
     """
     try:
         max_queries = operator.index(max_queries)
@@ -340,48 +351,52 @@ def guess(words, oracle, max_queries, reliability=None):
     found = np.array(ok, dtype=bool)
     blocks = np.array(blocks, dtype=np.uint8)  # a copy: some oracles hand back their input
     queries = np.ones(len(words), dtype=np.int64)
-    active = searched = np.flatnonzero(~found)
-    image = np.ascontiguousarray(oracle.images(words[active]))
-    lane = f"u{gcd(image.shape[1], 8)}"
+    searched = np.flatnonzero(~found)
+    image = np.ascontiguousarray(oracle.images(words[searched]))
+    lane, item = f"u{gcd(image.shape[1], 8)}", f"V{image.shape[1]}"
     image, columns = image.view(lane), _with_zero_row(oracle.image_columns()).view(lane)
     # order[r, a] is 1 + the position that rank r flips in row a, and 0 for
     # rank 0 (padding): an index into columns below a zero row. table[r, a]
     # is that position's image; a table of one column serves every row.
     if reliability is None:
         store = _patterns(n, _hamming_blocks)
-        order = np.broadcast_to(np.arange(n + 1)[:, None], (n + 1, len(active)))
+        order = np.broadcast_to(np.arange(n + 1)[:, None], (n + 1, len(searched)))
         table = columns[:, None]
     else:
         store = _patterns(n, _logistic_blocks)
-        rel = np.asarray(reliability).take(active, axis=0)
-        # Only the rows that search read theirs; min propagates NaN.
-        if rel.size and not rel.min() >= 0:
-            raise ValueError("reliabilities must be nonnegative |LLR|s; a row that searches has a negative or NaN one")
-        order = _with_zero_row(1 + _ranking(rel).T)
-        # take and compress measured 5-10x faster than the same fancy indexing.
-        table = columns.take(order, axis=0, out=scratch("rank images", (n + 1, *image.shape), lane), mode="clip")
+        order = scratch("rank order", (n + 1, len(searched)), np.min_scalar_type(n))
+        order[0] = 0
+        rel = np.asarray(reliability, dtype=np.float64)
+        for part in (slice(s, s + _RANK_ROWS) for s in range(0, len(searched), _RANK_ROWS)):
+            np.add(_ranking(rel, searched[part]).T, 1, out=order[1:, part])
+        table = np.zeros((1, *image.shape), lane)  # rank 0; extended as the steps read further
+    at = np.arange(len(searched))  # the searching rows' columns of order
     space = min(max_queries, 1 << n)
     i, c = 1, _FIRST_STEP
-    while active.size and i < space:
-        c = min(c, max(1, _MAX_WORDS // active.size), space - i)
+    while at.size and i < space:
+        c = min(c, max(1, _MAX_WORDS // at.size), space - i)
         ranks = store.ranks(i, i + c)
-        pattern = _xor_gather(table, ranks, scratch("patterns", (c, *table.shape[1:]), lane))
+        if len(table) <= n and (top := ranks.max()) >= len(table):
+            # take and compress measured 5-10x faster than the same fancy indexing.
+            more = order[len(table) : min(n + 1, max(top + 1, 2 * len(table)))].take(at, axis=1)
+            table = np.concatenate([table, columns.take(more, axis=0)])
         # Candidate images are pattern-major: (c, rows, w).
         cand = scratch("candidates", (c, *image.shape), lane)
-        for j in range(image.shape[1]):
-            np.bitwise_xor(pattern[:, :, j], image[:, j], out=cand[:, :, j])
-        ok = oracle.accept_images(cand.view(np.uint8).reshape(c * len(active), -1)).reshape(c, len(active))
+        np.copyto(cand.view(item), _xor_gather(table, ranks, scratch("patterns", (c, *table.shape[1:]), lane)).view(item))
+        np.bitwise_xor(cand.reshape(c, -1), image.reshape(-1), out=cand.reshape(c, -1))
+        ok = oracle.accept_images(cand.view(np.uint8).reshape(c * at.size, -1)).reshape(c, at.size)
         hit = ok.any(axis=0)
         if hit.any():
-            found[active[hit]] = True
-            queries[active[hit]] = i + 1 + ok[:, hit].argmax(axis=0)
+            done = searched[at[hit]]
+            found[done] = True
+            queries[done] = ok[:, hit].argmax(axis=0) + (i + 1)
             keep = ~hit
-            active, image = active[keep], image[keep]
+            at, image = at[keep], image[keep]
             if table.shape[1] > 1:
                 table = table.compress(keep, axis=1)
         i += c
         c *= _GROWTH
-    queries[active] = i
+    queries[searched[at]] = i
     hit = np.flatnonzero(found[searched])
     if hit.size:
         done = searched[hit]

@@ -223,15 +223,16 @@ class TestDeterminism:
 
 
 def _fail_at_batch(monkeypatch, batch, fail):
-    # Campaign workers are forked, so they run the patched method.
-    run_batch = campaign._Simulation.run_batch
+    # Campaign workers are forked, so they run the patched method: the chunk
+    # entry point, which every worker calls, the calling process too.
+    run_batches = campaign._Simulation.run_batches
 
-    def patched(self, point, batch_index):
-        if batch_index == batch:
+    def patched(self, point, batches):
+        if batch in batches:
             fail()
-        return run_batch(self, point, batch_index)
+        return run_batches(self, point, batches)
 
-    monkeypatch.setattr(campaign._Simulation, "run_batch", patched)
+    monkeypatch.setattr(campaign._Simulation, "run_batches", patched)
 
 
 class UnrebuildableError(Exception):
@@ -281,14 +282,13 @@ class TestExecutor:
             code_kind="rlc", ebn0_grid_db=(6.0, 8.0), min_block_errors=5, max_blocks=64 * TRIAL_BATCH, master_seed=7
         )
         want = run_campaign(cfg).canonical_json()
-        run_batch = campaign._Simulation.run_batch
+        run_batches = campaign._Simulation.run_batches
 
-        def slow_rank_0(self, point, batch):
-            if batch % workers == 0:
-                time.sleep(0.1)
-            return run_batch(self, point, batch)
+        def slow_rank_0(self, point, batches):
+            time.sleep(0.1 * sum(b % workers == 0 for b in batches))
+            return run_batches(self, point, batches)
 
-        monkeypatch.setattr(campaign._Simulation, "run_batch", slow_rank_0)
+        monkeypatch.setattr(campaign._Simulation, "run_batches", slow_rank_0)
         assert run_campaign(cfg, workers=workers).canonical_json() == want
         assert multiprocessing.active_children() == []
 
@@ -325,6 +325,50 @@ class TestExecutor:
         # Point 0 stopped after 3 batches; point 1 runs all 4.
         campaign._worker(campaign._Simulation(cfg), 1, 2, [3, 4], conn)
         assert conn.sent == [(0, 1), (1, 1), (1, 3)]
+
+        # Worker 1 of 2 runs chunks [1], [3, 5], [7, 9, 11, 13], [15] of 16
+        # batches. Point 0's stop, 7, lands on a chunk boundary; point 1's
+        # is published while its third chunk runs, and clips the fourth.
+        class Publishing(Conn):
+            def send_bytes(self, buf):
+                super().send_bytes(buf)
+                if self.sent[-1] == (1, 7):
+                    stop[1] = 9
+
+        cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=16 * TRIAL_BATCH))
+        conn, stop = Publishing(), [7, 16]
+        campaign._worker(campaign._Simulation(cfg), 1, 2, stop, conn)
+        assert conn.sent == [(0, 1), (0, 3), (0, 5), *((1, b) for b in range(1, 14, 2))]
+
+    def test_chunks_double_up_to_the_cap(self):
+        assert [list(c) for c in campaign._chunks(0, 1, 12, [12], 0)] == [[0], [1, 2], [3, 4, 5, 6], [7, 8, 9, 10], [11]]
+        assert [list(c) for c in campaign._chunks(1, 3, 30, [30], 0)] == [[1], [4, 7], [10, 13, 16, 19], [22, 25, 28]]
+        assert [list(c) for c in campaign._chunks(2, 3, 30, [2], 0)] == []
+
+    def test_stop_in_batch_0_computes_one_batch(self, monkeypatch):
+        # The first chunk is one batch, so an early stop costs no more.
+        computed = []
+        run_batches = campaign._Simulation.run_batches
+
+        def counting(self, point, batches):
+            computed.extend(batches)
+            return run_batches(self, point, batches)
+
+        monkeypatch.setattr(campaign._Simulation, "run_batches", counting)
+        res = run_campaign(CampaignConfig(**dict(FAST, ebn0_grid_db=(4.0,))))
+        assert res.points[0].blocks <= TRIAL_BATCH
+        assert computed == [0]
+
+    def test_stop_inside_a_chunk_does_not_depend_on_workers(self):
+        # Point 0 stops in batch 9: inside chunk [7, 8, 9, 10] at W = 1 and
+        # [7, 9, 11, 13] of worker 1 at W = 2. Point 1 then runs to its cap.
+        cfg = CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), min_block_errors=25, max_blocks=24 * TRIAL_BATCH,
+                             master_seed=4)
+        want = run_campaign(cfg)
+        assert (want.points[0].blocks - 1) // TRIAL_BATCH == 9
+        assert want.points[1].blocks == cfg.max_blocks
+        for workers in (2, 3):
+            assert run_campaign(cfg, workers=workers).canonical_json() == want.canonical_json()
 
     def test_worker_exception_reraised_with_traceback(self, monkeypatch):
         def fail():
@@ -368,12 +412,12 @@ class TestExecutor:
         code = (
             "import multiprocessing, os, signal\n"
             "from aesfec import campaign\n"
-            "run_batch = campaign._Simulation.run_batch\n"
-            "def patched(self, p, b):\n"
-            "    if b == 3:\n"
+            "run_batches = campaign._Simulation.run_batches\n"
+            "def patched(self, p, batches):\n"
+            "    if 3 in batches:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return run_batch(self, p, b)\n"
-            "campaign._Simulation.run_batch = patched\n"
+            "    return run_batches(self, p, batches)\n"
+            "campaign._Simulation.run_batches = patched\n"
             "cfg = campaign.CampaignConfig(code_kind='rlc', decoder_kind='orbgrand', ebn0_grid_db=(7.0,))\n"
             "try:\n"
             "    campaign.run_campaign(cfg, workers=2)\n"
@@ -552,6 +596,29 @@ def test_run_batch_channel_buffers_match_fresh_arrays(code, decoder):
         assert (rec.bit_errors, rec.queries, rec.abandoned) == tuple(a[row].item() for a in want.values())
         assert rec.error == (rec.bit_errors > 0)
     assert res.blocks == cfg.max_blocks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    code=st.sampled_from(["aes", "rlc"]),
+    decoder=st.sampled_from(["grand", "orbgrand"]),
+    workers=st.integers(1, 3),
+    size=st.integers(1, 4),
+    first=st.integers(0, 9),
+    point=st.integers(0, 1),
+)
+@example(code="aes", decoder="orbgrand", workers=3, size=4, first=0, point=1)
+def test_run_batches_is_run_batch_per_batch(code, decoder, workers, size, first, point):
+    # 5 dB with a 2000-query budget gives searches, hits and abandoned
+    # blocks. The last of the 10 batches is short (44 trials); a chunk that
+    # would run past it starts earlier.
+    cfg = CampaignConfig(code_kind=code, decoder_kind=decoder, ebn0_grid_db=(5.0, 6.0), max_queries=2000,
+                         max_blocks=9 * TRIAL_BATCH + 44, master_seed=5)
+    sim = campaign._Simulation(cfg)
+    first = min(first, 9 - (size - 1) * workers)
+    chunk = range(first, first + size * workers, workers)
+    got = sim.run_batches(point, chunk)
+    assert [rec.tobytes() for rec in got] == [sim.run_batch(point, b).tobytes() for b in chunk]
 
 
 def test_campaign_builds_one_cipher(monkeypatch):

@@ -27,11 +27,40 @@ class TestParseGrid:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "8:0.5:6", "6:0:8", "6:-1:8", "7,6", "5,5", "abc", "nan", "1:inf:2"],
+        ["", "8:0.5:6", "6:0:8", "6:-1:8", "7,6", "5,5", "abc", "nan", "1:inf:2", "0:1:inf", "-inf:1:0", "0:1e-5:100",
+         "0:1:1e300", "-1e308:1e-300:1e308", ",".join(map(str, range(1001)))],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_grid(bad)
+
+
+    def test_largest_grid(self):
+        assert len(parse_grid("0:0.01:9.99")) == 1000
+        assert len(parse_grid(",".join(map(str, range(1000))))) == 1000
+
+
+@pytest.mark.parametrize("grid", ["0:1:inf", "-inf:1:0", "0:1e-5:100", "0:1:1e300"])
+def test_run_rejects_an_absurd_grid_at_once(grid):
+    # These once died in an OverflowError traceback, built 10^7 points for
+    # 10 s, or grew without end; the child's memory cap and timeout keep a
+    # regression from taking the suite with it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+        "from aesfec.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        f"    main(['run', '--ebn0={grid}', '--quiet'])\n"
+        "except SystemExit as e:\n"
+        "    print(e.code, time.perf_counter() - t0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    status, seconds = proc.stdout.split()
+    assert status == "2" and float(seconds) < 1.0
+    assert "argument --ebn0" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_version_flag(capsys):

@@ -479,7 +479,7 @@ def test_ranking_is_the_full_stable_argsort(n, rows, decimals, seed):
     rel = np.abs(np.random.default_rng(seed).normal(0.0, 8.0, size=(rows, n)))
     if decimals is not None:
         rel = np.round(rel, decimals)
-    assert np.array_equal(grand._ranking(rel), np.argsort(rel, axis=1, kind="stable"))
+    assert np.array_equal(grand._ranking(rel, np.arange(rows)), np.argsort(rel, axis=1, kind="stable"))
 
 
 def test_ranking_sorts_tied_rows_stably():
@@ -498,7 +498,7 @@ def test_ranking_sorts_tied_rows_stably():
     # Repeated side by side, so that rows are long enough for the default
     # sort not to be an insertion sort.
     rel = np.tile(rel, 8)
-    ranking = grand._ranking(rel)
+    ranking = grand._ranking(rel, np.arange(len(rel)))
     assert np.array_equal(ranking, np.argsort(rel, axis=1, kind="stable"))
     assert ranking[:, :2].tolist() == [[4, 14], [0, 1], [1, 11], [1, 6], [5, 15]]
     assert ranking[4, -16:].tolist() == list(range(1, 80, 5))
@@ -507,9 +507,10 @@ def test_ranking_sorts_tied_rows_stably():
 def test_guess_extends_the_ranking_mid_search():
     # A [128,64] code leaves no other codeword near these words, so each row
     # hits exactly the one-flip pattern (r,) that names its error, at query
-    # 1 + (its index in the logistic order). Ranks 3, 12 and 40 need the
-    # ranking at 8, 16 and 64 (the full sort) ranks; row 3's reliabilities
-    # are all equal, so its ranks are its positions (rank 10 is position 9).
+    # 1 + (its index in the logistic order). Ranks 12 and 40 lie past the
+    # rank-image table of the first steps, which is extended for them; row
+    # 3's reliabilities are all equal, so its ranks are its positions (rank
+    # 10 is position 9).
     params = CodeParams(128, 64)
     oracle = RlcOracle(rlc_generate(params, 7))
     rng = np.random.default_rng(3)
@@ -529,6 +530,32 @@ def test_guess_extends_the_ranking_mid_search():
     for row in range(4):
         out = orbgrand_decode(SoftWord(samples=samples[row], llrs=mags[row], sigma=1.0), oracle, 10**4)
         assert out.queries == want_queries[row]
+
+
+def test_guess_extends_the_table_for_the_rows_still_searching():
+    # The first step (patterns 1-16) reads ranks up to 6. Rows 0 and 1 hit
+    # in it and retire, so the later steps extend the rank-image table for
+    # the other rows alone, each through its own ranking: the rows' |LLR|
+    # are distinct permutations, so a table column taken from the wrong row
+    # would flip the wrong position.
+    params = CodeParams(128, 64)
+    oracle = RlcOracle(rlc_generate(params, 7))
+    rng = np.random.default_rng(5)
+    flips = [(1,), (2,), (12,), (3, 9), (40,), (5, 30)]
+    bits = oracle.code.encode_bits(rng.integers(0, 2, size=(len(flips), params.k), dtype=np.uint8))
+    mags = np.vstack([rng.permutation(np.linspace(1.0, 9.0, params.n)) for _ in flips])
+    samples = modulate(bits) * mags
+    for row, ranks in enumerate(flips):
+        samples[row, np.argsort(mags[row], kind="stable")[np.array(ranks) - 1]] *= -1.0
+    words = np.packbits(hard_bits(samples), axis=1)
+    found, blocks, queries = guess(words, oracle, 10**4, mags)
+    order = list(itertools.islice(logistic_order_patterns(params.n), 10**4))
+    assert found.all()
+    assert queries.tolist() == [1 + order.index(r) for r in flips]
+    assert np.array_equal(blocks, np.packbits(bits, axis=1))
+    for row in range(len(flips)):
+        out = orbgrand_decode(SoftWord(samples=samples[row], llrs=mags[row], sigma=1.0), oracle, 10**4)
+        assert (out.queries, out.final_weight) == (queries[row], sum(flips[row]))
 
 
 TIED_CASES = ("aes", "rlc", "rlc12", "sparse")
