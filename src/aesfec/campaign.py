@@ -15,17 +15,18 @@ count as block errors with ceil(k/2) message bit errors.
 
 A campaign builds its working state once (_Simulation: the oracle over its
 cipher or code, the message mask, the per-point sigmas). Its unit of work
-is a chunk: worker r of W runs batches r, r + W, ... of each point, points
-in order, in chunks of 1, 2, 4, 4, ... batches (_chunks), each drawn batch
-by batch into per-process scratch buffers and decoded in one guess call
-(run_batches). The calling process is worker 0; W - 1 forked workers
-inherit the state (_Executor) and send each batch's records down their own
-pipe, and the calling process reads batch b from the pipe of worker b mod
-W. As soon as the batches in order hold a point's stopping trial, it
-publishes the point's batch count in shared memory, and each forked worker
-clips its next chunk to it, so no worker waits for another. Past a
-stopping trial, a worker computes at most the rest of its chunk and, if
-forked, what its pipe holds.
+is a chunk: contiguous batches of a point, each drawn batch by batch into
+per-process scratch buffers, decoded in one guess call and returned as one
+record array (run_batches). A point's chunks hold 1, 2, then 4 batches in
+batch order, and chunk i belongs to worker i mod W (_chunks). The calling
+process is worker 0; W - 1 forked workers inherit the state (_Executor)
+and send each chunk's records down their own pipe as one message. The
+calling process walks the same chunks, running its own and reading each
+other from its owner's pipe. As soon as the chunks in order hold a point's
+stopping trial, it publishes the point's batch count in shared memory,
+and each forked worker clips its next chunk to it, so no worker waits for
+another. Past a stopping trial, a worker computes at most the chunk it is
+running and, if forked, what its pipe holds.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ TRIAL_BATCH = 256
 # A batch's per-trial records; a block is in error iff it has bit errors.
 _RECORD = np.dtype([("bit_errors", np.int64), ("queries", np.int64), ("abandoned", np.bool_)])
 
+# Processes per campaign at most, so a mistyped count forks nothing.
+MAX_WORKERS = 64
+
 # two-sided 95% normal quantile
 Z95 = 1.9599639845400545
 
@@ -80,7 +84,7 @@ def _integer(name, value, low, high=None):
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < low or high is not None and value >= high:
-        raise ValueError(f"{name} must be >= {low}" + ("" if high is None else f" and < {high}") + f", got {value}")
+        raise ValueError(f"{name} must be >= {low}" + ("" if high is None else f" and <= {high - 1}") + f", got {value}")
     return value
 
 
@@ -206,14 +210,10 @@ class _Simulation:
             self.oracle = RlcOracle(rlc_generate(params, config.rlc_seed))
         self.msg_mask = message_bit_mask(params)
 
-    def run_batch(self, point, batch):
-        """The records of batch `batch` of grid point `point`."""
-        return self.run_batches(point, [batch])[0]
-
     def run_batches(self, point, batches):
-        """The records of grid point `point`'s batches, one array per batch.
-        Each batch draws from its own generators (see the module docstring);
-        one guess call decodes the rows of all of them."""
+        """The records of grid point `point`'s batches, as one array in the
+        order given. Each batch draws from its own generators (see the module
+        docstring); one guess call decodes the rows of all of them."""
         cfg = self.config
         n, k = cfg.n, cfg.k
         sizes = [min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH) for b in batches]
@@ -246,7 +246,7 @@ class _Simulation:
         rec["bit_errors"][~found] = (k + 1) // 2
         rec["queries"] = queries
         rec["abandoned"] = ~found
-        return np.split(rec, ends[:-1])
+        return rec
 
 
 def run_block(config, point_index, trial_index):
@@ -258,7 +258,7 @@ def run_block(config, point_index, trial_index):
     point_index = _integer("point_index", point_index, 0, len(config.ebn0_grid_db))
     trial_index = _integer("trial_index", trial_index, 0, config.max_blocks)
     b = trial_index // TRIAL_BATCH
-    rec = _Simulation(config).run_batch(point_index, b)[trial_index - b * TRIAL_BATCH]
+    rec = _Simulation(config).run_batches(point_index, [b])[trial_index - b * TRIAL_BATCH]
     return BlockRecord(
         point_index=point_index,
         trial_index=trial_index,
@@ -273,30 +273,22 @@ def _n_batches(config):
     return -(-config.max_blocks // TRIAL_BATCH)
 
 
-def _prefix(config, batches):
-    """The records of one point's batches, taken in batch order up to the
-    batch that holds the stopping trial (all of them if the rule never
-    fires)."""
-    recs = []
-    seen_errors = 0
-    for rec in batches:
+def _point_result(config, point_index, chunks):
+    """PointResult of one point from its chunks' records in batch order,
+    read up to the chunk that holds the stopping trial (all of them if the
+    rule never fires), and the number of batches its counted trials span."""
+    recs, seen_errors = [], 0
+    for rec in chunks:
         recs.append(rec)
         seen_errors += int(np.count_nonzero(rec["bit_errors"]))
         if seen_errors >= config.min_block_errors:
             break
-    return recs
-
-
-def _point_result(config, point_index, recs):
-    """PointResult of one point from its _prefix records."""
     # Field by field: concatenating the structured records is several times slower.
     bit_errors, queries, abandoned = (np.concatenate([rec[name] for rec in recs]) for name in _RECORD.names)
     error = bit_errors > 0
-    if int(error.sum()) >= config.min_block_errors:
-        cum = np.cumsum(error)
-        blocks = int(np.searchsorted(cum, config.min_block_errors)) + 1
-    else:
-        blocks = len(error)
+    blocks = len(error)
+    if seen_errors >= config.min_block_errors:
+        blocks = int(np.searchsorted(np.cumsum(error), config.min_block_errors)) + 1
     error = error[:blocks]
     bit_errors = bit_errors[:blocks]
     queries = queries[:blocks]
@@ -308,7 +300,7 @@ def _point_result(config, point_index, recs):
     total_bit_errors = int(bit_errors.sum())
     bler_lo, bler_hi = wilson_interval(block_errors, blocks)
     ber_lo, ber_hi = wilson_interval(total_bit_errors, total_bits)
-    return PointResult(
+    result = PointResult(
         ebn0_db=config.ebn0_grid_db[point_index],
         sigma=point.sigma,
         noise_entropy_bits=point.noise_entropy_bits,
@@ -326,6 +318,7 @@ def _point_result(config, point_index, recs):
         mean_queries=float(queries.mean()),
         p99_queries=_p99(queries),
     )
+    return result, -(-blocks // TRIAL_BATCH)
 
 
 def run_point(config, point_index):
@@ -334,34 +327,41 @@ def run_point(config, point_index):
     return _Executor(_Simulation(config), 1).run_point(point_index)
 
 
-# A worker's message: (point, batch) and that batch's records, or point -1
-# and the worker's rank followed by its pickled (exception, traceback).
+# A worker's message: (point, first batch) and that chunk's records, or
+# point -1 and the worker's rank followed by its pickled (exception, traceback).
 _HEADER = struct.Struct("<qq")
 
 _CHUNK = 4  # batches per chunk at most (1,024 rows in one guess call)
 
 
-def _chunks(rank, workers, n_batches, stop, p):
-    """Worker `rank`'s batches rank, rank + workers, ... of point p in chunks
-    of 1, 2, 4, ... batches up to _CHUNK (so a stop in batch 0 costs the
-    calling process that batch alone), each clipped to stop[p], the point's
-    published batch count, as read before the chunk."""
-    b, size = rank, 1
-    while chunk := range(b, min(n_batches, stop[p], b + size * workers), workers):
-        yield chunk
-        b, size = b + size * workers, min(2 * size, _CHUNK)
+def _chunks(workers, n_batches, stop, p):
+    """Point p's batches in order, as (rank, chunk) of contiguous batches:
+    chunk i belongs to worker i mod W. Chunks hold 1 batch until every
+    worker has run one (so a stop in batch 0 costs that batch alone), then
+    2, then 4 (_CHUNK), each clipped to stop[p], the point's published batch
+    count, as read before the chunk."""
+    b, i, size = 0, 0, 1
+    while chunk := range(b, min(n_batches, stop[p], b + size)):
+        yield i % workers, chunk
+        b, i = chunk.stop, i + 1
+        if i % workers == 0:
+            size = min(2 * size, _CHUNK)
 
 
-def _worker(sim, rank, workers, stop, conn):
+def _worker(sim, rank, workers, stop, conn, inherited):
     """Body of campaign worker `rank` of `workers`, on the _Simulation it
-    inherits from the parent: runs its chunks (_chunks) of each grid point,
-    points in order, and sends each batch's records down its pipe once its
-    chunk is done, blocking while the pipe is full."""
+    inherits from the parent: walks the chunks (_chunks) of each grid point,
+    points in order, and sends the records of each chunk it owns down its
+    pipe as one message, blocking while the pipe is full. It first closes
+    the pipe read ends it inherited (its own and earlier ranks'), so that a
+    send fails, and the worker exits, once the calling process is gone."""
+    for read_end in inherited:
+        read_end.close()
     try:
         for p in range(len(sim.sigmas)):
-            for chunk in _chunks(rank, workers, _n_batches(sim.config), stop, p):
-                for b, rec in zip(chunk, sim.run_batches(p, chunk)):
-                    conn.send_bytes(_HEADER.pack(p, b) + rec.tobytes())
+            for owner, chunk in _chunks(workers, _n_batches(sim.config), stop, p):
+                if owner == rank:
+                    conn.send_bytes(_HEADER.pack(p, chunk.start) + sim.run_batches(p, chunk).tobytes())
     except Exception as exc:
         import traceback
 
@@ -381,15 +381,15 @@ class _Executor:
     0, and ranks 1..W-1 are forked from a pinned fork context, inheriting
     the _Simulation and the imported modules. (Spawn or forkserver, which
     Python 3.14 made the default on Linux, would pay the interpreter
-    start-up and imports, about 0.1 s, again in every campaign.) Batch b of
-    a point belongs to worker b mod W, and each worker runs its batches in
-    the chunks of _chunks: the calling process runs its own chunk by chunk
-    as it needs them and reads each other batch from its owner's pipe,
-    which carries that worker's batches in (point, batch) order, and it
-    publishes each point's stop (see the module docstring). A forked worker
-    runs ahead of the calling process until its pipe is full (ten batches
-    fill a 64 KiB Linux pipe) and blocks in send_bytes, so it is at most a
-    pipe and a chunk (four batches) ahead; close() terminates it there.
+    start-up and imports, about 0.1 s, again in every campaign.) Every
+    process walks the same chunks of a point (_chunks): the calling process
+    runs its own as it needs them and reads each other chunk from its
+    owner's pipe, which carries that worker's chunks in (point, batch)
+    order, and it publishes each point's stop (see the module docstring).
+    A forked worker runs ahead of the calling process until its pipe is
+    full and blocks in send_bytes: a 64 KiB Linux pipe holds about 15
+    batches' records (three four-batch chunks, a fourth blocked in
+    send_bytes). close() terminates it there.
     """
 
     def __init__(self, sim, workers):
@@ -404,7 +404,7 @@ class _Executor:
                 recv, send = mp.Pipe(duplex=False)
                 proc = mp.Process(
                     target=_worker,
-                    args=(sim, rank, workers, self.stop, send),
+                    args=(sim, rank, workers, self.stop, send, [recv, *(conn for conn, _ in self.procs)]),
                     name=f"campaign worker {rank}",
                     daemon=True,
                 )
@@ -417,21 +417,17 @@ class _Executor:
 
     def run_point(self, point_index):
         """Simulate one grid point until the stopping rule fires."""
-        recs = _prefix(self.config, self._ordered(point_index))
-        self.stop[point_index] = len(recs)
-        return _point_result(self.config, point_index, recs)
+        result, self.stop[point_index] = _point_result(self.config, point_index, self._ordered(point_index))
+        return result
 
     def _ordered(self, p):
-        chunks = _chunks(0, self.workers, _n_batches(self.config), self.stop, p)
-        own = (rec for chunk in chunks for rec in self.sim.run_batches(p, chunk))
-        for b in range(_n_batches(self.config)):
-            rank = b % self.workers
-            yield self._receive(rank, p) if rank else next(own)
+        for rank, chunk in _chunks(self.workers, _n_batches(self.config), self.stop, p):
+            yield self._receive(rank, p) if rank else self.sim.run_batches(p, chunk)
 
     def _receive(self, rank, p):
-        """The next batch of point p from worker `rank`'s pipe, past its
-        batches of earlier points (computed beyond their stops); raise if
-        the worker failed."""
+        """The next chunk of point p from worker `rank`'s pipe, past its
+        chunks of earlier points (computed beyond their stops); raise if the
+        worker failed."""
         conn, proc = self.procs[rank - 1]
         while True:
             try:
@@ -561,10 +557,10 @@ class CampaignResult:
 def run_campaign(config, workers=1, progress=False):
     """Run every grid point; bit-identical output for any worker count.
 
-    The calling process runs every workers-th batch, and workers - 1
-    forked workers run the rest (see _Executor).
+    The calling process runs every workers-th chunk, and workers - 1
+    forked workers run the rest (see _Executor); at most MAX_WORKERS.
     """
-    workers = _integer("workers", workers, 1)
+    workers = _integer("workers", workers, 1, MAX_WORKERS + 1)
     from . import __version__
 
     t0 = time.perf_counter()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import __version__
 from .aes_core import DEFAULT_KEY_HEX, key_from_hex
-from .campaign import CampaignConfig, CampaignResult, run_campaign
+from .campaign import MAX_WORKERS, CampaignConfig, CampaignResult, run_campaign
 
 __all__ = ["main", "parse_grid", "plot_data_csv"]
 
@@ -50,18 +50,16 @@ def parse_grid(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _positive_int(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _int_in(low, high=None):
+    """An argparse type: an integer in [low, high] (high None: no upper bound)."""
 
+    def integer(text):
+        v = int(text)
+        if v < low or high is not None and v > high:
+            raise argparse.ArgumentTypeError(f"must be >= {low}" + ("" if high is None else f" and <= {high}") + f", got {v}")
+        return v
 
-def _nonneg_int(text):
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
+    return integer
 
 
 def _aes_key(text):
@@ -83,27 +81,27 @@ def build_parser():
     run = sub.add_parser("run", help="run a BER/BLER campaign and write JSON + CSV results")
     run.add_argument("--code", choices=("aes", "rlc"), default="aes")
     run.add_argument("--decoder", choices=("grand", "orbgrand"), default="grand")
-    run.add_argument("--n", type=_positive_int, default=128, help="block length (default 128)")
-    run.add_argument("--k", type=_positive_int, default=116, help="message bits per block (default 116)")
+    run.add_argument("--n", type=_int_in(1), default=128, help="block length (default 128)")
+    run.add_argument("--k", type=_int_in(1), default=116, help="message bits per block (default 116)")
     run.add_argument(
         "--ebn0",
         type=parse_grid,
         default=parse_grid("6:0.5:8"),
         help=f"Eb/N0 grid in dB: start:step:stop or comma list, at most {MAX_GRID_POINTS} points (default 6:0.5:8)",
     )
-    run.add_argument("--max-queries", type=_positive_int, default=10**6, help="abandon a block after this many oracle queries")
-    run.add_argument("--min-block-errors", type=_positive_int, default=100, help="stop a point after this many block errors")
-    run.add_argument("--max-blocks", type=_positive_int, default=10**6, help="hard cap on blocks per point")
-    run.add_argument("--seed", type=_nonneg_int, default=1, help="master RNG seed")
+    run.add_argument("--max-queries", type=_int_in(1), default=10**6, help="abandon a block after this many oracle queries")
+    run.add_argument("--min-block-errors", type=_int_in(1), default=100, help="stop a point after this many block errors")
+    run.add_argument("--max-blocks", type=_int_in(1), default=10**6, help="hard cap on blocks per point")
+    run.add_argument("--seed", type=_int_in(0), default=1, help="master RNG seed")
     run.add_argument("--aes-key", type=_aes_key, default=DEFAULT_KEY_HEX, help="AES-128 key, 32 hex digits")
-    run.add_argument("--rlc-seed", type=_nonneg_int, default=1, help="seed of the random linear code draw")
+    run.add_argument("--rlc-seed", type=_int_in(0), default=1, help="seed of the random linear code draw")
     run.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_int_in(1, MAX_WORKERS),
         default=1,
-        help="processes per campaign: 1 runs in this process; W > 1 forks W - 1 workers beside this process; "
-        "each of the W runs every W-th batch of a point, up to 4 of them per decoder call, until the point's "
-        "stop is published (results do not depend on W)",
+        help=f"processes per campaign, at most {MAX_WORKERS}: 1 runs in this process; W > 1 forks W - 1 workers "
+        "beside this process; a point's batches run in chunks of 1, 2, then 4, one decoder call each, chunk i on "
+        "process i mod W, until the point's stop is published (results do not depend on W)",
     )
     run.add_argument("--out", type=Path, default=None, help="output JSON path (default campaign_<code>_<decoder>.json)")
     run.add_argument("--quiet", action="store_true", help="suppress per-point progress lines")

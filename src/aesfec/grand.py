@@ -176,16 +176,14 @@ class _Patterns:
     taken from the order's block generator as far as the searches reach.
 
     Pattern j is row j of an array: its set ascending, padded with zeros,
-    so a row's sum is its rank sum; sizes[j] is its set size. Both orders
-    are runs of sizes that never decrease (Hamming: one; logistic: rank
-    sums), each ending at least as wide as all rows before it; row j's run
-    starts at _starts[j]. The store at least doubles when a search passes its end.
+    so a row's sum is its rank sum; sizes[j] is its set size. The store at
+    least doubles when a search passes its end.
     """
 
     def __init__(self, blocks):
         self._blocks = blocks
         self._sets = next(blocks)  # the empty set
-        self.sizes = self._starts = np.zeros(1, dtype=self._sets.dtype)
+        self.sizes = np.zeros(1, dtype=self._sets.dtype)
 
     def ranks(self, i0, i1):
         """Rows i0 .. i1 - 1, cut to the largest set among them."""
@@ -200,13 +198,7 @@ class _Patterns:
             self._sets = _stacked(parts)
             widths = np.array([p.shape[1] for p in parts[1:]], dtype=self.sizes.dtype)
             self.sizes = np.concatenate([self.sizes, np.repeat(widths, [len(p) for p in parts[1:]])])
-            starts = np.arange(len(self.sizes), dtype=np.min_scalar_type(len(self.sizes)))
-            starts[1:][self.sizes[1:] >= self.sizes[:-1]] = 0
-            self._starts = np.maximum.accumulate(starts, out=starts)
-        start, width = self._starts[i1 - 1], self.sizes[i1 - 1]
-        if i0 < start:
-            width = max(width, self.sizes[start - 1])
-        return self._sets[i0:i1, :width]
+        return self._sets[i0:i1, : self.sizes[i0:i1].max()]
 
     def at(self, index):
         """Rows index (read before), padded with zeros to the widest held."""

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -134,7 +135,7 @@ class TestStopping:
         last = run_block(cfg, 0, res.blocks - 1)
         assert last.error
         sim = campaign._Simulation(cfg)
-        batches = [sim.run_batch(0, b) for b in range(-(-res.blocks // TRIAL_BATCH))]
+        batches = [sim.run_batches(0, [b]) for b in range(-(-res.blocks // TRIAL_BATCH))]
         errs = np.count_nonzero(np.concatenate([rec["bit_errors"] for rec in batches])[: res.blocks])
         assert errs == 5
 
@@ -235,6 +236,15 @@ def _fail_at_batch(monkeypatch, batch, fail):
     monkeypatch.setattr(campaign._Simulation, "run_batches", patched)
 
 
+def _running(pid):
+    """Whether process pid exists and is not a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class UnrebuildableError(Exception):
     # Pickles as (class, args), but args holds one message, not (a, b).
     def __init__(self, a, b):
@@ -246,10 +256,16 @@ class TestExecutor:
         run_campaign(CampaignConfig(**FAST), workers=2)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [0, 2.0, "2"])
-    def test_rejects_bad_worker_counts(self, workers):
-        with pytest.raises(ValueError, match="workers"):
+    @pytest.mark.parametrize("workers", [0, 2.0, "2", campaign.MAX_WORKERS + 1, 100000])
+    def test_rejects_bad_worker_counts(self, monkeypatch, workers):
+        # Counted, not started: a count above the limit must fork nothing.
+        started = []
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", lambda proc: started.append(proc.name))
+        with pytest.raises(ValueError, match="workers") as info:
             run_campaign(CampaignConfig(**FAST), workers=workers)
+        assert started == []
+        if isinstance(workers, int):
+            assert str(info.value) == f"workers must be >= 1 and <= 64, got {workers}"
 
     @pytest.mark.parametrize(
         "workers,max_blocks",
@@ -275,20 +291,22 @@ class TestExecutor:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_workers_far_ahead_of_the_calling_process(self, monkeypatch, workers):
         # Point 0 stops in batch 0 of 64. While the calling process sleeps in
-        # its own batches, each forked worker runs on past that stop until
-        # its pipe is full, and the calling process must drop those batches
+        # its own chunks, each forked worker runs on past that stop until
+        # its pipe is full, and the calling process must drop those chunks
         # when it reads point 1's from the same pipe.
         cfg = CampaignConfig(
             code_kind="rlc", ebn0_grid_db=(6.0, 8.0), min_block_errors=5, max_blocks=64 * TRIAL_BATCH, master_seed=7
         )
         want = run_campaign(cfg).canonical_json()
         run_batches = campaign._Simulation.run_batches
+        calling_process = os.getpid()
 
-        def slow_rank_0(self, point, batches):
-            time.sleep(0.1 * sum(b % workers == 0 for b in batches))
+        def slow_calling_process(self, point, batches):
+            if os.getpid() == calling_process:
+                time.sleep(0.1 * len(batches))
             return run_batches(self, point, batches)
 
-        monkeypatch.setattr(campaign._Simulation, "run_batches", slow_rank_0)
+        monkeypatch.setattr(campaign._Simulation, "run_batches", slow_calling_process)
         assert run_campaign(cfg, workers=workers).canonical_json() == want
         assert multiprocessing.active_children() == []
 
@@ -315,35 +333,48 @@ class TestExecutor:
                 self.sent = []
 
             def send_bytes(self, buf):
-                self.sent.append(campaign._HEADER.unpack_from(buf))
+                # (point, first batch, batches) of one chunk message
+                p, b = campaign._HEADER.unpack_from(buf)
+                self.sent.append((p, b, (len(buf) - campaign._HEADER.size) // (campaign._RECORD.itemsize * TRIAL_BATCH)))
 
             def close(self):
                 pass
 
-        cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=4 * TRIAL_BATCH))
+        # Worker 2 of 3 owns chunks [2] and [7] of 8 batches ([7, 8] cut at
+        # the last batch). Point 1's stop, 7, drops the second.
+        cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=8 * TRIAL_BATCH))
         conn = Conn()
-        # Point 0 stopped after 3 batches; point 1 runs all 4.
-        campaign._worker(campaign._Simulation(cfg), 1, 2, [3, 4], conn)
-        assert conn.sent == [(0, 1), (1, 1), (1, 3)]
+        campaign._worker(campaign._Simulation(cfg), 2, 3, [8, 7], conn, ())
+        assert conn.sent == [(0, 2, 1), (0, 7, 1), (1, 2, 1)]
 
-        # Worker 1 of 2 runs chunks [1], [3, 5], [7, 9, 11, 13], [15] of 16
-        # batches. Point 0's stop, 7, lands on a chunk boundary; point 1's
-        # is published while its third chunk runs, and clips the fourth.
+        # Worker 1 of 2 owns chunks [1], [4, 5] and [10, ..., 13] of 16
+        # batches. Point 0's stop, 10, lands on a chunk boundary; point 1's,
+        # 12, is published as its second chunk is sent, and cuts the third.
         class Publishing(Conn):
             def send_bytes(self, buf):
                 super().send_bytes(buf)
-                if self.sent[-1] == (1, 7):
-                    stop[1] = 9
+                if self.sent[-1][:2] == (1, 4):
+                    stop[1] = 12
 
         cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=16 * TRIAL_BATCH))
-        conn, stop = Publishing(), [7, 16]
-        campaign._worker(campaign._Simulation(cfg), 1, 2, stop, conn)
-        assert conn.sent == [(0, 1), (0, 3), (0, 5), *((1, b) for b in range(1, 14, 2))]
+        conn, stop = Publishing(), [10, 16]
+        campaign._worker(campaign._Simulation(cfg), 1, 2, stop, conn, ())
+        assert conn.sent == [(0, 1, 1), (0, 4, 2), (1, 1, 1), (1, 4, 2), (1, 10, 2)]
 
     def test_chunks_double_up_to_the_cap(self):
-        assert [list(c) for c in campaign._chunks(0, 1, 12, [12], 0)] == [[0], [1, 2], [3, 4, 5, 6], [7, 8, 9, 10], [11]]
-        assert [list(c) for c in campaign._chunks(1, 3, 30, [30], 0)] == [[1], [4, 7], [10, 13, 16, 19], [22, 25, 28]]
-        assert [list(c) for c in campaign._chunks(2, 3, 30, [2], 0)] == []
+        def chunks(workers, n_batches, stop):
+            return [(rank, list(c)) for rank, c in campaign._chunks(workers, n_batches, [stop], 0)]
+
+        assert chunks(1, 12, 12) == [(0, [0]), (0, [1, 2]), (0, [3, 4, 5, 6]), (0, [7, 8, 9, 10]), (0, [11])]
+        # Every worker runs one batch before any runs two.
+        assert chunks(3, 30, 30) == [
+            (0, [0]), (1, [1]), (2, [2]),
+            (0, [3, 4]), (1, [5, 6]), (2, [7, 8]),
+            (0, [9, 10, 11, 12]), (1, [13, 14, 15, 16]), (2, [17, 18, 19, 20]),
+            (0, [21, 22, 23, 24]), (1, [25, 26, 27, 28]), (2, [29]),
+        ]
+        assert chunks(3, 30, 2) == [(0, [0]), (1, [1])]
+        assert chunks(2, 30, 5) == [(0, [0]), (1, [1]), (0, [2, 3]), (1, [4])]
 
     def test_stop_in_batch_0_computes_one_batch(self, monkeypatch):
         # The first chunk is one batch, so an early stop costs no more.
@@ -360,22 +391,31 @@ class TestExecutor:
         assert computed == [0]
 
     def test_stop_inside_a_chunk_does_not_depend_on_workers(self):
-        # Point 0 stops in batch 9: inside chunk [7, 8, 9, 10] at W = 1 and
-        # [7, 9, 11, 13] of worker 1 at W = 2. Point 1 then runs to its cap.
-        cfg = CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), min_block_errors=25, max_blocks=24 * TRIAL_BATCH,
-                             master_seed=4)
-        want = run_campaign(cfg)
-        assert (want.points[0].blocks - 1) // TRIAL_BATCH == 9
-        assert want.points[1].blocks == cfg.max_blocks
-        for workers in (2, 3):
-            assert run_campaign(cfg, workers=workers).canonical_json() == want.canonical_json()
+        # Point 0 stops in a batch with later batches of its chunk computed
+        # and dropped, except at seed 4 and W = 2, where it is the last;
+        # point 1 then runs to its cap. The chunk that holds the stop, by W:
+        lands = {
+            4: (9, {1: [7, 8, 9, 10], 2: [6, 7, 8, 9], 3: [9, 10, 11, 12]}),
+            6: (7, {1: [7, 8, 9, 10], 2: [6, 7, 8, 9], 3: [7, 8]}),
+        }
+        for seed, (stop_batch, chunks) in lands.items():
+            cfg = CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), min_block_errors=25,
+                                 max_blocks=24 * TRIAL_BATCH, master_seed=seed)
+            want = run_campaign(cfg)
+            assert (want.points[0].blocks - 1) // TRIAL_BATCH == stop_batch
+            assert want.points[1].blocks == cfg.max_blocks
+            for workers, chunk in chunks.items():
+                assert next(list(c) for _, c in campaign._chunks(workers, 24, [24], 0) if stop_batch in c) == chunk
+            for workers in (2, 3):
+                assert run_campaign(cfg, workers=workers).canonical_json() == want.canonical_json()
 
     def test_worker_exception_reraised_with_traceback(self, monkeypatch):
         def fail():
-            raise ValueError("no batch 3")
+            raise ValueError("no batch 4")
 
-        _fail_at_batch(monkeypatch, 3, fail)
-        with pytest.raises(ValueError, match="no batch 3") as info:
+        # Batch 4 of 2 workers is worker 1's, in its chunk [4, 5].
+        _fail_at_batch(monkeypatch, 4, fail)
+        with pytest.raises(ValueError, match="no batch 4") as info:
             run_campaign(CampaignConfig(**FAST), workers=2)
         cause = str(info.value.__cause__)
         assert "campaign worker 1" in cause
@@ -386,7 +426,7 @@ class TestExecutor:
         def fail():
             raise UnrebuildableError(1, 2)
 
-        _fail_at_batch(monkeypatch, 3, fail)
+        _fail_at_batch(monkeypatch, 4, fail)
         with pytest.raises(RuntimeError, match="bad 1 2") as info:
             run_campaign(CampaignConfig(**FAST), workers=2)
         cause = str(info.value.__cause__)
@@ -398,7 +438,7 @@ class TestExecutor:
         def fail():
             raise ValueError("no batch 2")
 
-        # Batch 2 of 2 workers is the calling process's own.
+        # Batch 2 of 2 workers is the calling process's own, in its chunk [2, 3].
         _fail_at_batch(monkeypatch, 2, fail)
         with pytest.raises(ValueError, match="no batch 2") as info:
             run_campaign(CampaignConfig(**FAST), workers=2)
@@ -414,7 +454,7 @@ class TestExecutor:
             "from aesfec import campaign\n"
             "run_batches = campaign._Simulation.run_batches\n"
             "def patched(self, p, batches):\n"
-            "    if 3 in batches:\n"
+            "    if 4 in batches:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return run_batches(self, p, batches)\n"
             "campaign._Simulation.run_batches = patched\n"
@@ -431,6 +471,46 @@ class TestExecutor:
         lines = proc.stdout.strip().splitlines()
         assert "campaign worker 1" in lines[0] and "exit code -9" in lines[0], lines
         assert lines[1] == "[]"
+
+    def test_no_worker_outlives_a_killed_calling_process(self):
+        # A child interpreter prints its two workers' pids and SIGKILLs
+        # itself in its own first chunk of a long point. A worker that kept
+        # a read end of its own or an earlier rank's pipe would block in
+        # send_bytes forever once its pipe filled, orphaned.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import multiprocessing, os, signal\n"
+            "from aesfec import campaign\n"
+            "run_batches = campaign._Simulation.run_batches\n"
+            "calling_process = os.getpid()\n"
+            "def patched(self, p, batches):\n"
+            "    if os.getpid() == calling_process:\n"
+            "        print(*(proc.pid for proc in multiprocessing.active_children()), flush=True)\n"
+            "        os.kill(calling_process, signal.SIGKILL)\n"
+            "    return run_batches(self, p, batches)\n"
+            "campaign._Simulation.run_batches = patched\n"
+            "campaign.run_campaign(campaign.CampaignConfig(code_kind='rlc', ebn0_grid_db=(9.0,)), workers=3)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        # Read the pids line by line: an orphaned worker holds the child's
+        # stdout open, so waiting for its end would wait for the worker.
+        child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                 text=True, env=env)
+        pids = []
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2
+            assert child.wait(timeout=60) == -signal.SIGKILL
+            deadline = time.monotonic() + 10
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+            child.kill()
+            child.wait()
+            child.stdout.close()
 
 
 @pytest.fixture(scope="module")
@@ -539,9 +619,9 @@ def test_benchmark_campaigns_match_recorded_hashes(perfbench_run, workload, seed
 
 
 def reference_batch(config, point, batch):
-    """run_batch's record fields, from scratch: a fresh cipher or code and
-    oracle, the channel drawn into fresh arrays, and each code's own
-    reference block (the packed codeword for the rlc)."""
+    """run_batches(point, [batch])'s record fields, from scratch: a fresh
+    cipher or code and oracle, the channel drawn into fresh arrays, and each
+    code's own reference block (the packed codeword for the rlc)."""
     params = config.params
     size = min(TRIAL_BATCH, config.max_blocks - batch * TRIAL_BATCH)
     mrng = np.random.default_rng((config.master_seed, point, batch, 0))
@@ -583,7 +663,7 @@ def test_run_batch_channel_buffers_match_fresh_arrays(code, decoder):
     for b in (0, 1, 0):
         for point in (0, 1):
             for sim in sims:
-                got, want = sim.run_batch(point, b), reference_batch(sim.config, point, b)
+                got, want = sim.run_batches(point, [b]), reference_batch(sim.config, point, b)
                 assert len(got) == len(want["queries"]) and got.dtype.names == tuple(want)
                 for name, w in want.items():
                     assert np.array_equal(got[name], w)
@@ -602,23 +682,27 @@ def test_run_batch_channel_buffers_match_fresh_arrays(code, decoder):
 @given(
     code=st.sampled_from(["aes", "rlc"]),
     decoder=st.sampled_from(["grand", "orbgrand"]),
-    workers=st.integers(1, 3),
+    stride=st.integers(1, 3),
     size=st.integers(1, 4),
     first=st.integers(0, 9),
     point=st.integers(0, 1),
 )
-@example(code="aes", decoder="orbgrand", workers=3, size=4, first=0, point=1)
-def test_run_batches_is_run_batch_per_batch(code, decoder, workers, size, first, point):
+@example(code="aes", decoder="orbgrand", stride=1, size=4, first=6, point=1)
+@example(code="aes", decoder="orbgrand", stride=3, size=4, first=0, point=1)
+def test_run_batches_is_run_batch_per_batch(code, decoder, stride, size, first, point):
+    # A chunk's records are its batches' one-batch records concatenated, for
+    # the contiguous chunks campaigns run (stride 1) and any other batches.
     # 5 dB with a 2000-query budget gives searches, hits and abandoned
     # blocks. The last of the 10 batches is short (44 trials); a chunk that
     # would run past it starts earlier.
     cfg = CampaignConfig(code_kind=code, decoder_kind=decoder, ebn0_grid_db=(5.0, 6.0), max_queries=2000,
                          max_blocks=9 * TRIAL_BATCH + 44, master_seed=5)
     sim = campaign._Simulation(cfg)
-    first = min(first, 9 - (size - 1) * workers)
-    chunk = range(first, first + size * workers, workers)
+    first = min(first, 9 - (size - 1) * stride)
+    chunk = range(first, first + size * stride, stride)
     got = sim.run_batches(point, chunk)
-    assert [rec.tobytes() for rec in got] == [sim.run_batch(point, b).tobytes() for b in chunk]
+    assert got.dtype == campaign._RECORD
+    assert got.tobytes() == b"".join(sim.run_batches(point, [b]).tobytes() for b in chunk)
 
 
 def test_campaign_builds_one_cipher(monkeypatch):

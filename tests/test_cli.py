@@ -186,6 +186,19 @@ def test_run_rejects_ebn0_without_a_sigma_before_output(tmp_path, ebn0):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "workers,reason",
+    [("65", "must be >= 1 and <= 64, got 65"), ("0", "must be >= 1 and <= 64, got 0"), ("two", "invalid integer value: 'two'")],
+)
+def test_run_rejects_a_worker_count_outside_1_to_64_before_output(tmp_path, capsys, workers, reason):
+    out = tmp_path / "out" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--ebn0", "8.0", "--workers", workers, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --workers: {reason}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_run_rejects_bad_combo(tmp_path, capsys):
     rc = main(
         [

@@ -374,11 +374,12 @@ def test_campaign_builds_tables_once_per_campaign(monkeypatch):
     sim = campaign._Simulation(config)
     stop = [3, 3]  # no point stops early
     # Both workers of a two-worker campaign, run here one after the other
-    # on the one state they would inherit.
-    for rank in (0, 1):
+    # on the one state they would inherit: chunks [0] and [2] are rank 0's,
+    # [1] rank 1's.
+    for rank, firsts in ((0, [0, 2]), (1, [1])):
         conn = Conn()
-        campaign._worker(sim, rank, 2, stop, conn)
-        assert conn.sent == [(p, b) for p in (0, 1) for b in range(rank, 3, 2)]
+        campaign._worker(sim, rank, 2, stop, conn, ())
+        assert conn.sent == [(p, b) for p in (0, 1) for b in firsts]
     assert calls == [16]
     # An in-process campaign builds them once too, for all its points.
     campaign.run_campaign(config)
