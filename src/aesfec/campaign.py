@@ -34,17 +34,16 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import operator
 import pickle
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .aes_core import DEFAULT_KEY_HEX, Aes128, key_from_hex
 from .channel import ChannelPoint, awgn_samples, hard_bits, llr_from_samples, modulate, sigma_from_ebn0
-from .codes import AesPadOracle, CodeParams, RlcOracle, message_bit_mask, rlc_generate, scratch
+from .codes import AesPadOracle, CodeParams, RlcOracle, integer, message_bit_mask, rlc_generate, scratch
 from .grand import DEFAULT_MAX_QUERIES, guess
 
 __all__ = [
@@ -76,18 +75,6 @@ CODE_KINDS = ("aes", "rlc")
 DECODER_KINDS = ("grand", "orbgrand")
 
 
-def _integer(name, value, low, high=None):
-    """value as a plain int in [low, high) (high None: no upper bound), or
-    a ValueError that names it."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < low or high is not None and value >= high:
-        raise ValueError(f"{name} must be >= {low}" + ("" if high is None else f" and <= {high - 1}") + f", got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything a campaign depends on; two equal configs replay identically."""
@@ -113,16 +100,16 @@ class CampaignConfig:
         # not 10**6 there, and numpy integers are not JSON at all). Seeds
         # may be 0; lengths and counts may not.
         for name in ("n", "k", "max_queries", "min_block_errors", "max_blocks", "master_seed", "rlc_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), 0 if name.endswith("_seed") else 1))
+            object.__setattr__(self, name, integer(name, getattr(self, name), 0 if name.endswith("_seed") else 1))
         if self.code_kind not in CODE_KINDS:
             raise ValueError(f"code_kind must be one of {CODE_KINDS}, got {self.code_kind!r}")
         if self.decoder_kind not in DECODER_KINDS:
             raise ValueError(f"decoder_kind must be one of {DECODER_KINDS}, got {self.decoder_kind!r}")
         CodeParams(self.n, self.k)
-        if self.code_kind == "aes":
-            if self.n != 128:
-                raise ValueError(f"the aes code needs n = 128, got n = {self.n}")
-            key_from_hex(self.aes_key_hex)
+        if self.code_kind == "aes" and self.n != 128:
+            raise ValueError(f"the aes code needs n = 128, got n = {self.n}")
+        # Every config's canonical JSON records the key, so every config checks it.
+        key_from_hex(self.aes_key_hex)
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db must not be empty")
         for x in self.ebn0_grid_db:
@@ -255,8 +242,8 @@ def run_block(config, point_index, trial_index):
     The block is reproduced from its containing RNG batch, so the record
     matches what a campaign computes for the same (seed, point, trial).
     """
-    point_index = _integer("point_index", point_index, 0, len(config.ebn0_grid_db))
-    trial_index = _integer("trial_index", trial_index, 0, config.max_blocks)
+    point_index = integer("point_index", point_index, 0, len(config.ebn0_grid_db))
+    trial_index = integer("trial_index", trial_index, 0, config.max_blocks)
     b = trial_index // TRIAL_BATCH
     rec = _Simulation(config).run_batches(point_index, [b])[trial_index - b * TRIAL_BATCH]
     return BlockRecord(
@@ -323,7 +310,7 @@ def _point_result(config, point_index, chunks):
 
 def run_point(config, point_index):
     """Simulate one grid point in this process until the stopping rule fires."""
-    point_index = _integer("point_index", point_index, 0, len(config.ebn0_grid_db))
+    point_index = integer("point_index", point_index, 0, len(config.ebn0_grid_db))
     return _Executor(_Simulation(config), 1).run_point(point_index)
 
 
@@ -535,23 +522,8 @@ class CampaignResult:
         with open(path) as fh:
             return cls.from_json(fh.read())
 
-    CSV_FIELDS = (
-        "ebn0_db",
-        "sigma",
-        "blocks",
-        "block_errors",
-        "bit_errors",
-        "abandoned_blocks",
-        "bler",
-        "bler_ci_low",
-        "bler_ci_high",
-        "ber",
-        "ber_ci_low",
-        "ber_ci_high",
-        "bler_rule_of_three_upper",
-        "mean_queries",
-        "p99_queries",
-    )
+    # PointResult's fields but the noise entropy, a function of ebn0_db and the rate.
+    CSV_FIELDS = tuple(f.name for f in fields(PointResult) if f.name != "noise_entropy_bits")
 
 
 def run_campaign(config, workers=1, progress=False):
@@ -560,7 +532,7 @@ def run_campaign(config, workers=1, progress=False):
     The calling process runs every workers-th chunk, and workers - 1
     forked workers run the rest (see _Executor); at most MAX_WORKERS.
     """
-    workers = _integer("workers", workers, 1, MAX_WORKERS + 1)
+    workers = integer("workers", workers, 1, MAX_WORKERS + 1)
     from . import __version__
 
     t0 = time.perf_counter()

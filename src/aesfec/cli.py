@@ -6,11 +6,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .aes_core import DEFAULT_KEY_HEX, key_from_hex
-from .campaign import MAX_WORKERS, CampaignConfig, CampaignResult, run_campaign
+from .campaign import CODE_KINDS, DECODER_KINDS, MAX_WORKERS, CampaignConfig, CampaignResult, run_campaign
+from .codes import integer
 
 __all__ = ["main", "parse_grid", "plot_data_csv"]
 
@@ -50,24 +51,14 @@ def parse_grid(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _int_in(low, high=None):
-    """An argparse type: an integer in [low, high] (high None: no upper bound)."""
+class _WorkerCount(argparse.Action):
+    """Stores --workers once it is a count run_campaign takes."""
 
-    def integer(text):
-        v = int(text)
-        if v < low or high is not None and v > high:
-            raise argparse.ArgumentTypeError(f"must be >= {low}" + ("" if high is None else f" and <= {high}") + f", got {v}")
-        return v
-
-    return integer
-
-
-def _aes_key(text):
-    try:
-        key_from_hex(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-    return text
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            setattr(namespace, self.dest, integer("workers", value, 1, MAX_WORKERS + 1))
+        except ValueError as e:
+            raise argparse.ArgumentError(self, str(e)) from None
 
 
 def build_parser():
@@ -79,25 +70,30 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a BER/BLER campaign and write JSON + CSV results")
-    run.add_argument("--code", choices=("aes", "rlc"), default="aes")
-    run.add_argument("--decoder", choices=("grand", "orbgrand"), default="grand")
-    run.add_argument("--n", type=_int_in(1), default=128, help="block length (default 128)")
-    run.add_argument("--k", type=_int_in(1), default=116, help="message bits per block (default 116)")
-    run.add_argument(
-        "--ebn0",
-        type=parse_grid,
-        default=parse_grid("6:0.5:8"),
-        help=f"Eb/N0 grid in dB: start:step:stop or comma list, at most {MAX_GRID_POINTS} points (default 6:0.5:8)",
-    )
-    run.add_argument("--max-queries", type=_int_in(1), default=10**6, help="abandon a block after this many oracle queries")
-    run.add_argument("--min-block-errors", type=_int_in(1), default=100, help="stop a point after this many block errors")
-    run.add_argument("--max-blocks", type=_int_in(1), default=10**6, help="hard cap on blocks per point")
-    run.add_argument("--seed", type=_int_in(0), default=1, help="master RNG seed")
-    run.add_argument("--aes-key", type=_aes_key, default=DEFAULT_KEY_HEX, help="AES-128 key, 32 hex digits")
-    run.add_argument("--rlc-seed", type=_int_in(0), default=1, help="seed of the random linear code draw")
+    # One flag per CampaignConfig field: it sets that field, with the field's
+    # default and the type of that default, and CampaignConfig checks it.
+    flags = {
+        "code_kind": ("--code", f"code family, one of {', '.join(CODE_KINDS)}"),
+        "decoder_kind": ("--decoder", f"noise-guessing decoder, one of {', '.join(DECODER_KINDS)}"),
+        "n": ("--n", "block length"),
+        "k": ("--k", "message bits per block"),
+        "ebn0_grid_db": ("--ebn0", f"Eb/N0 grid in dB: start:step:stop or comma list, at most {MAX_GRID_POINTS} points"),
+        "max_queries": ("--max-queries", "abandon a block after this many oracle queries"),
+        "min_block_errors": ("--min-block-errors", "stop a point after this many block errors"),
+        "max_blocks": ("--max-blocks", "hard cap on blocks per point"),
+        "master_seed": ("--seed", "master RNG seed"),
+        "aes_key_hex": ("--aes-key", "AES-128 key, 32 hex digits"),
+        "rlc_seed": ("--rlc-seed", "seed of the random linear code draw"),
+    }
+    for f in fields(CampaignConfig):
+        flag, text = flags[f.name]
+        kind = parse_grid if f.name == "ebn0_grid_db" else type(f.default)
+        run.add_argument(flag, dest=f.name, type=kind, default=f.default, metavar=flag[2:].upper().replace("-", "_"),
+                         help=f"{text} (default %(default)s)")
     run.add_argument(
         "--workers",
-        type=_int_in(1, MAX_WORKERS),
+        type=int,
+        action=_WorkerCount,
         default=1,
         help=f"processes per campaign, at most {MAX_WORKERS}: 1 runs in this process; W > 1 forks W - 1 workers "
         "beside this process; a point's batches run in chunks of 1, 2, then 4, one decoder call each, chunk i on "
@@ -116,19 +112,7 @@ def build_parser():
 
 def _cmd_run(args):
     try:
-        config = CampaignConfig(
-            code_kind=args.code,
-            decoder_kind=args.decoder,
-            n=args.n,
-            k=args.k,
-            ebn0_grid_db=args.ebn0,
-            max_queries=args.max_queries,
-            min_block_errors=args.min_block_errors,
-            max_blocks=args.max_blocks,
-            master_seed=args.seed,
-            aes_key_hex=args.aes_key,
-            rlc_seed=args.rlc_seed,
-        )
+        config = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig)})
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

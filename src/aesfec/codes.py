@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -58,6 +59,18 @@ __all__ = [
 ]
 
 
+def integer(name, value, low, high=None):
+    """value as a plain int in [low, high) (high None: no upper bound), or
+    a ValueError that names it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or high is not None and value >= high:
+        raise ValueError(f"{name} must be >= {low}" + ("" if high is None else f" and <= {high - 1}") + f", got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Block length n and message length k of an (n, k) code."""
@@ -66,8 +79,8 @@ class CodeParams:
     k: int
 
     def __post_init__(self):
-        if self.k <= 0 or self.n < self.k:
-            raise ValueError(f"need 0 < k <= n, got n={self.n}, k={self.k}")
+        object.__setattr__(self, "n", integer("n", self.n, 1))
+        object.__setattr__(self, "k", integer("k", self.k, 1, self.n + 1))
 
     @property
     def rate(self):

@@ -66,7 +66,6 @@ the stores are tested against.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -74,7 +73,7 @@ import numpy as np
 
 from .bitblock import BitVec, split
 from .channel import SoftWord, hard_bits
-from .codes import one_bit_masks, scratch
+from .codes import integer, one_bit_masks, scratch
 
 __all__ = [
     "DecodeOutcome",
@@ -327,12 +326,7 @@ def guess(words, oracle, max_queries, reliability=None):
     row not found was abandoned after min(max_queries, 2^n) queries, and
     its block is meaningless.
     """
-    try:
-        max_queries = operator.index(max_queries)
-    except TypeError:
-        raise ValueError(f"max_queries must be an integer, got {max_queries!r}") from None
-    if max_queries < 1:
-        raise ValueError(f"max_queries must be >= 1, got {max_queries}")
+    max_queries = integer("max_queries", max_queries, 1)
     n, nbytes = oracle.params.n, oracle.params.nbytes
     words = np.asarray(words, dtype=np.uint8)
     if words.ndim != 2 or words.shape[1] != nbytes:

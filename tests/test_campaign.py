@@ -91,6 +91,8 @@ class TestConfig:
             dict(ebn0_grid_db=(6.0, -3240.0)),
             dict(ebn0_grid_db=(6.0, 3080.0)),
             dict(ebn0_grid_db=(6.0, -3100.0)),
+            # The canonical JSON of every config holds its key, whatever the code.
+            dict(code_kind="rlc", aes_key_hex="zz"),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -597,6 +599,26 @@ class TestPairing:
         assert g.blocks == o.blocks == 64
         assert g.block_errors == o.block_errors == 0
         assert g.mean_queries == o.mean_queries == 1.0
+
+
+@pytest.mark.parametrize(
+    "seed, point, batch, message_bits, normals",
+    [
+        (1, 0, 0, "11001101010111011010111010111111",
+         ("0x1.549425b2c4ba8p-1", "-0x1.f013630e03f32p-1", "-0x1.362af28da1c25p+0", "0x1.439e3f4a60ef4p-1")),
+        (1, 4, 40, "00000000100111000000011010001000",
+         ("0x1.1aa1eeb403a67p-7", "0x1.0898ad49d9020p+0", "-0x1.8176656b452bfp-2", "0x1.9fa9d72a0ef68p+0")),
+        (1017, 0, 3, "10101111110100001110011101011010",
+         ("-0x1.108c7b142b007p-2", "-0x1.3e7fec153cd5bp+0", "0x1.deef68e379533p-7", "0x1.97799fd70ad25p-1")),
+    ],
+)
+def test_sample_path_streams_are_pinned(seed, point, batch, message_bits, normals):
+    # Every recorded campaign hash rests on these numpy streams, which are
+    # not promised to hold across numpy releases; a change fails here by name.
+    msgs = np.random.default_rng((seed, point, batch, 0)).integers(0, 2, (TRIAL_BATCH, 116), np.uint8)
+    assert "".join(map(str, msgs.ravel()[:32])) == message_bits
+    z = np.random.default_rng((seed, point, batch, 1)).standard_normal((TRIAL_BATCH, 128))
+    assert tuple(float(v).hex() for v in z.ravel()[:4]) == normals
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Command-line interface: grid parsing, run outputs, data merging."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from aesfec.campaign import CampaignConfig
 from aesfec.cli import build_parser, main, parse_grid
 
 
@@ -165,7 +167,7 @@ def test_run_rejects_key_with_spaces_before_output(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 2
-    assert "--aes-key" in proc.stderr and "Traceback" not in proc.stderr
+    assert "AES-128 key" in proc.stderr and "Traceback" not in proc.stderr
     assert not out.parent.exists()
 
 
@@ -188,7 +190,11 @@ def test_run_rejects_ebn0_without_a_sigma_before_output(tmp_path, ebn0):
 
 @pytest.mark.parametrize(
     "workers,reason",
-    [("65", "must be >= 1 and <= 64, got 65"), ("0", "must be >= 1 and <= 64, got 0"), ("two", "invalid integer value: 'two'")],
+    [
+        ("65", "workers must be >= 1 and <= 64, got 65"),
+        ("0", "workers must be >= 1 and <= 64, got 0"),
+        ("two", "invalid int value: 'two'"),
+    ],
 )
 def test_run_rejects_a_worker_count_outside_1_to_64_before_output(tmp_path, capsys, workers, reason):
     out = tmp_path / "out" / "x.json"
@@ -197,6 +203,33 @@ def test_run_rejects_a_worker_count_outside_1_to_64_before_output(tmp_path, caps
     assert exc.value.code == 2
     assert f"argument --workers: {reason}" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_run_rejects_a_bad_key_for_the_rlc_code_too(tmp_path):
+    out = tmp_path / "out" / "x.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aesfec.cli", "run", "--code", "rlc", "--aes-key", "zz", "--out", str(out), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "AES-128 key" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.parent.exists()
+
+
+def test_run_flags_are_the_campaign_config_fields():
+    parser = build_parser()
+    run = parser._subparsers._group_actions[0].choices["run"]
+    flags = [action.dest for action in run._actions if action.option_strings]
+    default = CampaignConfig()
+    assert all(flags.count(name) == 1 for name in dataclasses.asdict(default))
+    args = parser.parse_args(["run"])
+    assert {name: getattr(args, name) for name in dataclasses.asdict(default)} == dataclasses.asdict(default)
+    assert CampaignConfig(**{name: getattr(args, name) for name in dataclasses.asdict(default)}) == default
 
 
 def test_run_rejects_bad_combo(tmp_path, capsys):

@@ -44,6 +44,21 @@ def test_code_params_validation():
             CodeParams(n=n, k=k)
 
 
+@pytest.mark.parametrize("n", [128.0, "128", None])
+def test_code_params_refuse_a_length_that_is_not_an_integer(n):
+    # A float n once gave a float nbytes (16.0).
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        CodeParams(n, 116)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        CodeParams(128, float(116))
+
+
+def test_code_params_hold_plain_ints():
+    params = CodeParams(np.int64(128), np.uint8(116))
+    assert (type(params.n), type(params.k), type(params.nbytes)) == (int, int, int)
+    assert params == PARAMS
+
+
 def test_bit_masks_partition_the_word():
     m = np.frombuffer(message_bit_mask(PARAMS), np.uint8)
     p = np.frombuffer(pad_bit_mask(PARAMS), np.uint8)
