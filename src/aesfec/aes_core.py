@@ -94,7 +94,7 @@ def key_from_hex(s):
     """Parse an AES-128 key given as exactly 32 hex digits."""
     # bytes.fromhex skips whitespace, so a 32-character string with spaces
     # would decode to fewer than 16 bytes; only hex digits are accepted.
-    if len(s) != 32 or not set(s) <= set(string.hexdigits):
+    if not isinstance(s, str) or len(s) != 32 or not set(s) <= set(string.hexdigits):
         raise ValueError(f"AES-128 key must be 32 hex digits, got {s!r}")
     return bytes.fromhex(s)
 

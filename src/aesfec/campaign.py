@@ -1,11 +1,13 @@
 """Monte Carlo BER/BLER campaigns over a BPSK AWGN grid.
 
 Every trial is deterministically addressable: trial t of grid point p lives
-in batch b = t // TRIAL_BATCH, and batch b draws its messages from
-default_rng((master_seed, p, b, 0)) and its channel noise from
-default_rng((master_seed, p, b, 1)). Results are therefore bit-identical
-for any worker count, and campaigns that differ only in code or decoder
-see identical messages and noise (paired comparisons).
+in batch b = t // TRIAL_BATCH. Batch b's message bits are the top bits of
+the bytes of the raw PCG64 stream seeded with (master_seed, p, b, 0), the
+bits default_rng((master_seed, p, b, 0)).integers(0, 2, ..., np.uint8)
+draws; its channel noise comes from default_rng((master_seed, p, b, 1)).
+Results are therefore bit-identical for any worker count, and campaigns
+that differ only in code or decoder see identical messages and noise
+(paired comparisons).
 
 A point stops after the trial that produces the min_block_errors-th block
 error, or at max_blocks. The stopping trial is found on the per-trial
@@ -13,36 +15,35 @@ record concatenated in batch order, so batches computed past it never
 change which trials are counted. Abandoned blocks (query budget exhausted)
 count as block errors with ceil(k/2) message bit errors.
 
-A campaign builds its working state once (_Simulation: the oracle over its
-cipher or code, the message mask, the per-point sigmas). Its unit of work
-is a chunk: contiguous batches of a point, each drawn batch by batch into
-per-process scratch buffers, decoded in one guess call and returned as one
-record array (run_batches). A point's chunks hold 1, 2, then 4 batches in
-batch order, and chunk i belongs to worker i mod W (_chunks). The calling
-process is worker 0; W - 1 forked workers inherit the state (_Executor)
-and send each chunk's records down their own pipe as one message. The
-calling process walks the same chunks, running its own and reading each
-other from its owner's pipe. As soon as the chunks in order hold a point's
-stopping trial, it publishes the point's batch count in shared memory,
-and each forked worker clips its next chunk to it, so no worker waits for
-another. Past a stopping trial, a worker computes at most the chunk it is
-running and, if forked, what its pipe holds.
+A campaign builds its working state once per process (_Simulation). Its
+unit of work is a chunk: 1, 2, then 4 contiguous batches of a point,
+decoded in one guess call and returned as one record array (run_batches);
+chunk i belongs to worker i mod W (_chunks). The calling process is worker
+0, and W - 1 forked workers send each chunk's records down their own pipe
+(_Executor). As soon as the chunks in order hold a point's stopping trial,
+the calling process publishes the point's batch count, and each forked
+worker clips its next chunk to it. Every process that runs chunks has one
+helper thread, started after the forks and joined as the campaign ends. It
+runs only _draw: it draws the process's next chunk while the current one
+decodes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
 import pickle
 import struct
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .aes_core import DEFAULT_KEY_HEX, Aes128, key_from_hex
-from .channel import ChannelPoint, awgn_samples, hard_bits, llr_from_samples, modulate, sigma_from_ebn0
+from .channel import ChannelPoint, hard_bits, llr_from_samples, sigma_from_ebn0
 from .codes import AesPadOracle, CodeParams, RlcOracle, integer, message_bit_mask, rlc_generate, scratch
 from .grand import DEFAULT_MAX_QUERIES, guess
 
@@ -184,8 +185,8 @@ def wilson_interval(successes, trials, z=Z95):
 
 class _Simulation:
     """A campaign's working state, built once per process: the oracle over
-    its cipher or code, the message mask and each point's sigma. Batches
-    draw their channel arrays into the process's scratch buffers."""
+    its cipher or code, the message mask, each point's sigma, and two draw
+    slots, each with room for a chunk's message bits and standard normals."""
 
     def __init__(self, config):
         self.config = config
@@ -196,39 +197,96 @@ class _Simulation:
         else:
             self.oracle = RlcOracle(rlc_generate(params, config.rlc_seed))
         self.msg_mask = message_bit_mask(params)
+        rows = _CHUNK * TRIAL_BATCH
+        self.slots = [(np.empty((rows, params.k), np.uint8), np.empty((rows, params.n))) for _ in range(2)]
+        self.helper = self.pending = None  # pending: (point, todo, slot, chunk) of the helper's draw
+
+    def start_helper(self, rank, workers):
+        """Start this process's draw thread, as worker `rank` of `workers`; it runs only _draw."""
+        own = [chunk for r, chunk in _chunks(workers, _n_batches(self.config), [math.inf], 0) if r == rank]
+        self.after = dict(zip(own, own[1:]))  # each own chunk's successor in the unclipped schedule
+        self.go, self.done, self.error = threading.Semaphore(0), threading.Semaphore(0), None
+        helper = threading.Thread(target=self._help, name="campaign draw", daemon=True)
+        helper.start()
+        self.helper = helper  # once it runs, for stop_helper to join
+
+    def stop_helper(self):
+        """Join the draw thread, if one runs; safe to call at any point."""
+        if self.helper is not None:
+            self.pending = None
+            self.go.release()
+            self.helper.join()
+            self.helper = None
+
+    def _help(self):
+        while self.go.acquire() and (pending := self.pending) is not None:
+            try:
+                self._draw(*pending[:3])
+            except BaseException as exc:  # raised again by run_batches
+                self.error = exc
+            self.done.release()
+
+    def _draw(self, point, todo, slot):
+        """Draw grid point `point`'s batches into draw slot `slot`, the one
+        place that names the generators: pop each (i, b) of `todo`, a list
+        both threads may pop, and draw batch b into rows from i * TRIAL_BATCH."""
+        cfg = self.config
+        while todo:
+            try:
+                i, b = todo.pop()
+            except IndexError:  # the other thread took the last
+                return
+            rows = slice(i * TRIAL_BATCH, i * TRIAL_BATCH + min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH))
+            bits = self.slots[slot][0][rows]
+            # The raw stream's top bit per byte: what integers(0, 2, ..., np.uint8) draws.
+            raw = np.random.PCG64((cfg.master_seed, point, b, 0)).random_raw(-(-bits.size // 8))
+            np.right_shift(raw.astype("<u8", copy=False).view(np.uint8)[: bits.size].reshape(bits.shape), 7, out=bits)
+            np.random.default_rng((cfg.master_seed, point, b, 1)).standard_normal(out=self.slots[slot][1][rows])
 
     def run_batches(self, point, batches):
-        """The records of grid point `point`'s batches, as one array in the
-        order given. Each batch draws from its own generators (see the module
-        docstring); one guess call decodes the rows of all of them."""
+        """The records of grid point `point`'s batches, at most _CHUNK in
+        increasing order, as one array. If the pending draw starts at them and
+        covers them, this thread draws what the helper has not begun; else it
+        is cut short and they are drawn into the other slot. With a helper,
+        the draw of the point's next own chunk in the unclipped schedule then
+        starts, and one guess call decodes these batches' rows."""
         cfg = self.config
-        n, k = cfg.n, cfg.k
-        sizes = [min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH) for b in batches]
-        ends = np.cumsum(sizes)
-        ref, words = np.empty((2, ends[-1], cfg.params.nbytes), dtype=np.uint8)
-        reliability = scratch("reliability", (len(ref), n), np.float64) if cfg.decoder_kind == "orbgrand" else None
-        sigma = self.sigmas[point]
-        for b, end, size in zip(batches, ends, sizes):
-            rows = slice(end - size, end)
-            msgs = np.random.default_rng((cfg.master_seed, point, b, 0)).integers(0, 2, size=(size, k), dtype=np.uint8)
-            # A correct decode hands back the message in its first k bits: the
-            # padded plaintext for the aes code, the systematic codeword for the rlc.
-            ref[rows] = 0
-            ref[rows, : -(-k // 8)] = np.packbits(msgs, axis=1)
-            if cfg.code_kind == "aes":
-                cw_bits = np.unpackbits(self.oracle.cipher.encrypt_batch(ref[rows]), axis=1)
+        n, k, sigma = cfg.n, cfg.k, self.sigmas[point]
+        rows = sum(min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH) for b in batches)
+        slot, todo, pending = 0, list(enumerate(batches)), self.pending
+        if pending is not None:
+            p, shared, slot, drawn = pending
+            if p == point and list(drawn[: len(batches)]) == list(batches):
+                todo = shared
             else:
-                cw_bits = self.oracle.code.encode_bits(msgs)
-            x = modulate(cw_bits, out=scratch("x", (size, n), np.float64))
-            # ORBGRAND's samples are drawn into their rows' reliabilities,
-            # which become |LLR|s in place once the bits are decided.
-            y = scratch("y", (size, n), np.float64) if reliability is None else reliability[rows]
-            y = awgn_samples(x, sigma, np.random.default_rng((cfg.master_seed, point, b, 1)), out=y)
-            words[rows] = np.packbits(hard_bits(y, out=scratch("hard bits", (size, n), np.uint8)), axis=1)
-            if reliability is not None:
-                np.abs(llr_from_samples(y, sigma, out=y), out=y)
+                shared.clear()  # the helper stops after the batch it draws
+                slot = 1 - slot
+        self._draw(point, todo, slot)
+        if pending is not None:
+            self.done.acquire()  # no draw writes a slot from here
+            self.pending, error, self.error = None, self.error, None
+            if error is not None:
+                raise error
+        if self.helper is not None and (later := self.after.get(range(batches[0], batches[-1] + 1))):
+            self.pending = (point, list(enumerate(later)), 1 - slot, later)
+            self.go.release()
+        bits, y = (a[:rows] for a in self.slots[slot])
+        # A correct decode hands back the message in its first k bits: the
+        # padded plaintext for the aes code, the systematic codeword for the rlc.
+        ref = np.zeros((rows, cfg.params.nbytes), np.uint8)
+        ref[:, : -(-k // 8)] = np.packbits(bits, axis=1)
+        if cfg.code_kind == "aes":
+            cw_bits = np.unpackbits(self.oracle.cipher.encrypt_batch(ref), axis=1)
+        else:
+            cw_bits = self.oracle.code.encode_bits(bits)
+        # y = sigma z + x in the slot's normals, x = 1 - 2c as int8 (awgn_samples's
+        # sums); ORBGRAND's reliabilities are then the |LLR|s, formed in place.
+        y *= sigma
+        y += np.subtract(1, cw_bits << 1, dtype=np.int8)
+        words = np.packbits(hard_bits(y, out=scratch("hard bits", (rows, n), np.uint8)), axis=1)
+        reliability = np.abs(llr_from_samples(y, sigma, out=y), out=y) if cfg.decoder_kind == "orbgrand" else None
         found, blocks, queries = guess(words, self.oracle, cfg.max_queries, reliability)
-        rec = np.empty(len(ref), _RECORD)
+        rec = np.empty(rows, _RECORD)
         rec["bit_errors"] = np.bitwise_count((blocks ^ ref) & self.msg_mask).sum(axis=1, dtype=np.int64)
         rec["bit_errors"][~found] = (k + 1) // 2
         rec["queries"] = queries
@@ -246,14 +304,8 @@ def run_block(config, point_index, trial_index):
     trial_index = integer("trial_index", trial_index, 0, config.max_blocks)
     b = trial_index // TRIAL_BATCH
     rec = _Simulation(config).run_batches(point_index, [b])[trial_index - b * TRIAL_BATCH]
-    return BlockRecord(
-        point_index=point_index,
-        trial_index=trial_index,
-        error=bool(rec["bit_errors"] > 0),
-        bit_errors=int(rec["bit_errors"]),
-        queries=int(rec["queries"]),
-        abandoned=bool(rec["abandoned"]),
-    )
+    bit_errors, queries, abandoned = rec.item()
+    return BlockRecord(point_index, trial_index, bit_errors > 0, bit_errors, queries, abandoned)
 
 
 def _n_batches(config):
@@ -276,10 +328,7 @@ def _point_result(config, point_index, chunks):
     blocks = len(error)
     if seen_errors >= config.min_block_errors:
         blocks = int(np.searchsorted(np.cumsum(error), config.min_block_errors)) + 1
-    error = error[:blocks]
-    bit_errors = bit_errors[:blocks]
-    queries = queries[:blocks]
-    abandoned = abandoned[:blocks]
+    error, bit_errors, queries, abandoned = (a[:blocks] for a in (error, bit_errors, queries, abandoned))
 
     point = ChannelPoint(config.ebn0_grid_db[point_index], config.params.rate)
     block_errors = int(error.sum())
@@ -287,7 +336,7 @@ def _point_result(config, point_index, chunks):
     total_bit_errors = int(bit_errors.sum())
     bler_lo, bler_hi = wilson_interval(block_errors, blocks)
     ber_lo, ber_hi = wilson_interval(total_bit_errors, total_bits)
-    result = PointResult(
+    return PointResult(
         ebn0_db=config.ebn0_grid_db[point_index],
         sigma=point.sigma,
         noise_entropy_bits=point.noise_entropy_bits,
@@ -304,14 +353,14 @@ def _point_result(config, point_index, chunks):
         bler_rule_of_three_upper=(3.0 / blocks if block_errors == 0 else None),
         mean_queries=float(queries.mean()),
         p99_queries=_p99(queries),
-    )
-    return result, -(-blocks // TRIAL_BATCH)
+    ), -(-blocks // TRIAL_BATCH)
 
 
 def run_point(config, point_index):
     """Simulate one grid point in this process until the stopping rule fires."""
     point_index = integer("point_index", point_index, 0, len(config.ebn0_grid_db))
-    return _Executor(_Simulation(config), 1).run_point(point_index)
+    with contextlib.closing(_Executor(_Simulation(config), 1)) as runner:
+        return runner.run_point(point_index)
 
 
 # A worker's message: (point, first batch) and that chunk's records, or
@@ -345,6 +394,7 @@ def _worker(sim, rank, workers, stop, conn, inherited):
     for read_end in inherited:
         read_end.close()
     try:
+        sim.start_helper(rank, workers)
         for p in range(len(sim.sigmas)):
             for owner, chunk in _chunks(workers, _n_batches(sim.config), stop, p):
                 if owner == rank:
@@ -360,6 +410,7 @@ def _worker(sim, rank, workers, stop, conn, inherited):
             payload = pickle.dumps((RuntimeError(repr(exc)), tb))
         conn.send_bytes(_HEADER.pack(-1, rank) + payload)
     finally:
+        sim.stop_helper()
         conn.close()
 
 
@@ -389,15 +440,13 @@ class _Executor:
         try:
             for rank in range(1, workers):
                 recv, send = mp.Pipe(duplex=False)
-                proc = mp.Process(
-                    target=_worker,
-                    args=(sim, rank, workers, self.stop, send, [recv, *(conn for conn, _ in self.procs)]),
-                    name=f"campaign worker {rank}",
-                    daemon=True,
-                )
+                inherited = [recv, *(conn for conn, _ in self.procs)]
+                proc = mp.Process(target=_worker, args=(sim, rank, workers, self.stop, send, inherited),
+                                  name=f"campaign worker {rank}", daemon=True)
                 proc.start()
                 send.close()
                 self.procs.append((recv, proc))
+            sim.start_helper(0, workers)  # after the forks, which copy no thread
         except BaseException:
             self.close()
             raise
@@ -431,7 +480,8 @@ class _Executor:
                 return np.frombuffer(buf, _RECORD, offset=_HEADER.size)
 
     def close(self):
-        """Stop and reap every worker; safe to call at any point."""
+        """Join the draw thread, stop and reap every worker; safe at any point."""
+        self.sim.stop_helper()
         for _, proc in self.procs:
             proc.terminate()
         for conn, proc in self.procs:
@@ -536,10 +586,8 @@ def run_campaign(config, workers=1, progress=False):
     from . import __version__
 
     t0 = time.perf_counter()
-    points = []
-    point_wall_s = []
-    runner = _Executor(_Simulation(config), workers)
-    try:
+    points, point_wall_s = [], []
+    with contextlib.closing(_Executor(_Simulation(config), workers)) as runner:
         t_point = t0
         for i in range(len(config.ebn0_grid_db)):
             res = runner.run_point(i)
@@ -548,20 +596,7 @@ def run_campaign(config, workers=1, progress=False):
             point_wall_s.append(now - t_point)
             t_point = now
             if progress:
-                print(
-                    f"  {res.ebn0_db:5.2f} dB: blocks={res.blocks} "
-                    f"errors={res.block_errors} bler={res.bler:.3e} "
-                    f"ber={res.ber:.3e} mean_queries={res.mean_queries:.1f} "
-                    f"blocks/s={res.blocks / point_wall_s[-1]:.0f}",
-                    flush=True,
-                )
-    finally:
-        runner.close()
-    return CampaignResult(
-        config=config,
-        points=points,
-        wall_time_s=time.perf_counter() - t0,
-        version=__version__,
-        workers=workers,
-        point_wall_s=point_wall_s,
-    )
+                print(f"  {res.ebn0_db:5.2f} dB: blocks={res.blocks} errors={res.block_errors} bler={res.bler:.3e} "
+                      f"ber={res.ber:.3e} mean_queries={res.mean_queries:.1f} "
+                      f"blocks/s={res.blocks / point_wall_s[-1]:.0f}", flush=True)
+    return CampaignResult(config, points, time.perf_counter() - t0, __version__, workers, point_wall_s)

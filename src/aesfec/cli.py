@@ -95,9 +95,9 @@ def build_parser():
         type=int,
         action=_WorkerCount,
         default=1,
-        help=f"processes per campaign, at most {MAX_WORKERS}: 1 runs in this process; W > 1 forks W - 1 workers "
-        "beside this process; a point's batches run in chunks of 1, 2, then 4, one decoder call each, chunk i on "
-        "process i mod W, until the point's stop is published (results do not depend on W)",
+        help=f"processes per campaign, at most {MAX_WORKERS}: 1 runs in this process, W > 1 forks W - 1 workers "
+        "beside it, and each process draws its next chunk's messages and noise on one thread of its own; a point's "
+        "batches run in chunks of 1, 2, then 4, chunk i on process i mod W (results do not depend on W)",
     )
     run.add_argument("--out", type=Path, default=None, help="output JSON path (default campaign_<code>_<decoder>.json)")
     run.add_argument("--quiet", action="store_true", help="suppress per-point progress lines")

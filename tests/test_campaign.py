@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -93,6 +94,8 @@ class TestConfig:
             dict(ebn0_grid_db=(6.0, -3100.0)),
             # The canonical JSON of every config holds its key, whatever the code.
             dict(code_kind="rlc", aes_key_hex="zz"),
+            # A key that is not a string at all.
+            dict(aes_key_hex=5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -621,6 +624,22 @@ def test_sample_path_streams_are_pinned(seed, point, batch, message_bits, normal
     assert tuple(float(v).hex() for v in z.ravel()[:4]) == normals
 
 
+@pytest.mark.parametrize("size", [TRIAL_BATCH, 44])
+@pytest.mark.parametrize("seed, point, batch", [(1, 0, 0), (1, 4, 40), (1017, 0, 3)])
+def test_draw_takes_message_bits_from_the_raw_stream(seed, point, batch, size):
+    # _draw keeps the top bit of each byte of the raw PCG64 stream, which is
+    # what Generator.integers(0, 2, ..., np.uint8) makes of it, for a full
+    # batch and for a last batch of 44 trials, at the pinned (seed, p, b).
+    cfg = CampaignConfig(ebn0_grid_db=(6.0, 6.5, 7.0, 7.5, 8.0), max_blocks=batch * TRIAL_BATCH + size, master_seed=seed)
+    sim = campaign._Simulation(cfg)
+    sim._draw(point, [(0, batch)], 0)
+    bits, normals = (a[:size] for a in sim.slots[0])
+    want = np.random.default_rng((seed, point, batch, 0)).integers(0, 2, (size, 116), np.uint8)
+    assert bits.tobytes() == want.tobytes()
+    want = np.random.default_rng((seed, point, batch, 1)).standard_normal((size, 128))
+    assert normals.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "workload, seed",
     [("tail", 1), ("tail", 1017), ("deep", 1), ("deep", 1017)],
@@ -774,3 +793,175 @@ def test_campaign_does_not_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+def _settle(sim):
+    """Wait for sim's pending draw, if any, and drop it."""
+    if sim.pending is not None:
+        sim.done.acquire()
+        sim.pending = None
+
+
+def _within(seconds, fn):
+    """Run fn on a thread of its own and raise what it raised; a deadlock
+    fails the test after `seconds` instead of hanging the run."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), f"still running after {seconds} s"
+    if raised:
+        raise raised[0]
+
+
+def _submit(sim, point, chunk, slot):
+    """Start the draw of point's chunk into draw slot `slot` on sim's helper, as run_batches does."""
+    sim.pending = (point, list(enumerate(chunk)), slot, chunk)
+    sim.go.release()
+
+
+@pytest.mark.parametrize("decoder", ["grand", "orbgrand"])
+@pytest.mark.parametrize("code", ["aes", "rlc"])
+def test_run_batches_takes_or_discards_the_pending_draw(code, decoder):
+    # Ten batches, the last of 44 trials, at 5 dB with a 2000-query budget
+    # (searches, hits and abandoned blocks). Each case runs a chunk with a
+    # pending draw on the helper: none, the same chunk, a longer one that the
+    # chunk is a prefix of, or one that it must discard (other batches, the
+    # other point, a start elsewhere, too short). Its records must be those
+    # of a simulation that has no helper. The helper draws all of a pending
+    # draw when the calling thread pauses first, and shares it otherwise.
+    cfg = CampaignConfig(code_kind=code, decoder_kind=decoder, ebn0_grid_db=(5.0, 6.0), max_queries=2000,
+                         max_blocks=9 * TRIAL_BATCH + 44, master_seed=5)
+    plain = campaign._Simulation(cfg)
+    cases = [
+        (None, (1, range(6, 10))),
+        ((1, range(6, 10)), (1, range(6, 10))),
+        ((1, range(2, 6)), (1, range(2, 4))),
+        ((0, range(7, 10)), (0, range(7, 9))),
+        ((1, range(2, 6)), (1, range(6, 10))),
+        ((0, range(6, 10)), (1, range(6, 10))),
+        ((1, range(7, 10)), (1, range(6, 10))),
+        ((1, range(6, 8)), (1, range(6, 10))),
+    ]
+    want = {key: plain.run_batches(*key).tobytes() for _, key in cases}
+
+    def run():
+        sim = campaign._Simulation(cfg)
+        sim.start_helper(0, 1)
+        try:
+            for pause in (0.0, 0.05):
+                for slot in (0, 1):
+                    for pending, (point, batches) in cases:
+                        _settle(sim)
+                        if pending is not None:
+                            _submit(sim, *pending, slot)
+                            time.sleep(pause)
+                        assert sim.run_batches(point, batches).tobytes() == want[point, batches], (pending, pause)
+        finally:
+            sim.stop_helper()
+
+    _within(120, run)
+
+
+def _long_config():
+    # A fixed count of 16 batches, so that every process runs several chunks.
+    return CampaignConfig(**dict(FAST, min_block_errors=16 * TRIAL_BATCH, max_blocks=16 * TRIAL_BATCH))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_no_draw_thread_outlives_a_campaign(monkeypatch, workers):
+    before = threading.active_count()
+    cfg = _long_config()
+    want = run_campaign(cfg).canonical_json()
+    assert run_campaign(cfg, workers=workers).canonical_json() == want
+    assert threading.active_count() == before
+
+    # guess raises in the calling process or a worker, whichever calls it third.
+    calls = []
+
+    def failing_guess(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("no guess")
+        return guess(*args)
+
+    monkeypatch.setattr(campaign, "guess", failing_guess)
+    with pytest.raises(ValueError, match="no guess"):
+        run_campaign(cfg, workers=workers)
+    assert threading.active_count() == before
+    monkeypatch.undo()
+
+    # _draw raises on every helper, in every process; the calling thread
+    # then draws the chunk itself and raises the helper's exception.
+    draw = campaign._Simulation._draw
+
+    def failing_draw(self, *args):
+        if threading.current_thread().name == "campaign draw":
+            raise ValueError("no draw on the helper")
+        return draw(self, *args)
+
+    monkeypatch.setattr(campaign._Simulation, "_draw", failing_draw)
+    with pytest.raises(ValueError, match="no draw on the helper"):
+        run_campaign(cfg, workers=workers)
+    assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+
+
+def test_no_draw_thread_runs_when_workers_fork(monkeypatch):
+    # Fork copies no thread: a helper alive at a fork would be missing in
+    # the child, holding whatever locks it held. Two campaigns in a row, so
+    # the second forks after the first's helper has run.
+    alive = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def checked(proc):
+        alive.append([t.name for t in threading.enumerate() if t.name == "campaign draw"])
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", checked)
+    for workers in (3, 2):
+        run_campaign(_long_config(), workers=workers)
+    assert alive == [[], [], []]
+
+
+def test_draws_stay_whole_when_threads_switch_every_microsecond():
+    # The helper and the calling thread pop one list of batches to draw. With
+    # the interpreter switching threads every microsecond, both draw one
+    # pending chunk (the 44-trial batch last) at once, 200 times into a
+    # zeroed slot: a batch that neither drew, or drew into the wrong rows,
+    # would show there.
+    cfg = CampaignConfig(ebn0_grid_db=(5.0, 6.0), max_blocks=9 * TRIAL_BATCH + 44, master_seed=5)
+    chunk, rows = range(6, 10), 3 * TRIAL_BATCH + 44
+    plain = campaign._Simulation(cfg)
+    plain._draw(1, list(enumerate(chunk)), 0)
+    want = [a[:rows].tobytes() for a in plain.slots[0]]
+    got = []
+
+    def run():
+        sim = campaign._Simulation(cfg)
+        sim.start_helper(0, 1)
+        try:
+            for _ in range(200):
+                for a in sim.slots[1]:
+                    a.fill(0)
+                _submit(sim, 1, chunk, 1)
+                sim._draw(1, sim.pending[1], 1)
+                _settle(sim)
+                got.append([a[:rows].tobytes() for a in sim.slots[1]])
+        finally:
+            sim.stop_helper()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _within(120, run)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 200 and all(g == want for g in got)
