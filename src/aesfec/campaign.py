@@ -18,14 +18,16 @@ count as block errors with ceil(k/2) message bit errors.
 A campaign builds its working state once per process (_Simulation). Its
 unit of work is a chunk: 1, 2, then 4 contiguous batches of a point,
 decoded in one guess call and returned as one record array (run_batches);
-chunk i belongs to worker i mod W (_chunks). The calling process is worker
-0, and W - 1 forked workers send each chunk's records down their own pipe
-(_Executor). As soon as the chunks in order hold a point's stopping trial,
-the calling process publishes the point's batch count, and each forked
-worker clips its next chunk to it. Every process that runs chunks has one
-helper thread, started after the forks and joined as the campaign ends. It
-runs only _draw: it draws the process's next chunk while the current one
-decodes.
+chunk i belongs to worker i mod W, and _chunks, the one code that places
+chunks, names with each chunk the same worker's next one, chunk i + W. The
+calling process is worker 0, and W - 1 forked workers send each chunk's
+records down their own pipe (_Executor). As soon as the chunks in order
+hold a point's stopping trial, the calling process publishes the point's
+batch count, and each forked worker clips its next chunk to it. A process
+starts one helper thread when it is first handed a next chunk to draw,
+after any fork (never for run_block or a one-batch point), and joins it as
+the campaign ends. The helper runs only _draw: it draws the process's next
+chunk while the current one decodes.
 """
 
 from __future__ import annotations
@@ -99,9 +101,11 @@ class CampaignConfig:
         object.__setattr__(self, "ebn0_grid_db", tuple(float(x) for x in self.ebn0_grid_db))
         # Plain ints, so that equal configs have one canonical JSON (1e6 is
         # not 10**6 there, and numpy integers are not JSON at all). Seeds
-        # may be 0; lengths and counts may not.
+        # may be 0; lengths and counts may not. max_blocks fits an int64, as
+        # the forked workers' shared stops do (a larger count would wrap).
         for name in ("n", "k", "max_queries", "min_block_errors", "max_blocks", "master_seed", "rlc_seed"):
-            object.__setattr__(self, name, integer(name, getattr(self, name), 0 if name.endswith("_seed") else 1))
+            low, high = 0 if name.endswith("_seed") else 1, 2**63 if name == "max_blocks" else None
+            object.__setattr__(self, name, integer(name, getattr(self, name), low, high))
         if self.code_kind not in CODE_KINDS:
             raise ValueError(f"code_kind must be one of {CODE_KINDS}, got {self.code_kind!r}")
         if self.decoder_kind not in DECODER_KINDS:
@@ -200,15 +204,7 @@ class _Simulation:
         rows = _CHUNK * TRIAL_BATCH
         self.slots = [(np.empty((rows, params.k), np.uint8), np.empty((rows, params.n))) for _ in range(2)]
         self.helper = self.pending = None  # pending: (point, todo, slot, chunk) of the helper's draw
-
-    def start_helper(self, rank, workers):
-        """Start this process's draw thread, as worker `rank` of `workers`; it runs only _draw."""
-        own = [chunk for r, chunk in _chunks(workers, _n_batches(self.config), [math.inf], 0) if r == rank]
-        self.after = dict(zip(own, own[1:]))  # each own chunk's successor in the unclipped schedule
         self.go, self.done, self.error = threading.Semaphore(0), threading.Semaphore(0), None
-        helper = threading.Thread(target=self._help, name="campaign draw", daemon=True)
-        helper.start()
-        self.helper = helper  # once it runs, for stop_helper to join
 
     def stop_helper(self):
         """Join the draw thread, if one runs; safe to call at any point."""
@@ -243,13 +239,14 @@ class _Simulation:
             np.right_shift(raw.astype("<u8", copy=False).view(np.uint8)[: bits.size].reshape(bits.shape), 7, out=bits)
             np.random.default_rng((cfg.master_seed, point, b, 1)).standard_normal(out=self.slots[slot][1][rows])
 
-    def run_batches(self, point, batches):
+    def run_batches(self, point, batches, later=()):
         """The records of grid point `point`'s batches, at most _CHUNK in
         increasing order, as one array. If the pending draw starts at them and
         covers them, this thread draws what the helper has not begun; else it
-        is cut short and they are drawn into the other slot. With a helper,
-        the draw of the point's next own chunk in the unclipped schedule then
-        starts, and one guess call decodes these batches' rows."""
+        is cut short and they are drawn into the other slot. The helper then
+        starts drawing `later`, this process's next chunk of the point (the
+        first such draw starts the helper), and one guess call decodes these
+        batches' rows."""
         cfg = self.config
         n, k, sigma = cfg.n, cfg.k, self.sigmas[point]
         rows = sum(min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH) for b in batches)
@@ -267,7 +264,11 @@ class _Simulation:
             self.pending, error, self.error = None, self.error, None
             if error is not None:
                 raise error
-        if self.helper is not None and (later := self.after.get(range(batches[0], batches[-1] + 1))):
+        if later:
+            if self.helper is None:  # first needed here, after any fork, which copies no thread
+                helper = threading.Thread(target=self._help, name="campaign draw", daemon=True)
+                helper.start()
+                self.helper = helper  # once it runs, for stop_helper to join
             self.pending = (point, list(enumerate(later)), 1 - slot, later)
             self.go.release()
         bits, y = (a[:rows] for a in self.slots[slot])
@@ -306,10 +307,6 @@ def run_block(config, point_index, trial_index):
     rec = _Simulation(config).run_batches(point_index, [b])[trial_index - b * TRIAL_BATCH]
     bit_errors, queries, abandoned = rec.item()
     return BlockRecord(point_index, trial_index, bit_errors > 0, bit_errors, queries, abandoned)
-
-
-def _n_batches(config):
-    return -(-config.max_blocks // TRIAL_BATCH)
 
 
 def _point_result(config, point_index, chunks):
@@ -370,18 +367,22 @@ _HEADER = struct.Struct("<qq")
 _CHUNK = 4  # batches per chunk at most (1,024 rows in one guess call)
 
 
-def _chunks(workers, n_batches, stop, p):
-    """Point p's batches in order, as (rank, chunk) of contiguous batches:
-    chunk i belongs to worker i mod W. Chunks hold 1 batch until every
-    worker has run one (so a stop in batch 0 costs that batch alone), then
-    2, then 4 (_CHUNK), each clipped to stop[p], the point's published batch
-    count, as read before the chunk."""
+def _chunks(workers, stop, p):
+    """Point p's batches in order, as (rank, chunk, later) of contiguous
+    batches: chunk i belongs to worker i mod W, and later is that worker's
+    next chunk, chunk i + W. Chunks hold 1 batch until every worker has run
+    one (so a stop in batch 0 costs that batch alone), then 2, then 4
+    (_CHUNK); both are clipped to stop[p], the point's published batch
+    count (at first every batch), as read before the chunk."""
     b, i, size = 0, 0, 1
-    while chunk := range(b, min(n_batches, stop[p], b + size)):
-        yield i % workers, chunk
+    while chunk := range(b, min(end := stop[p], b + size)):
+        # Chunk i + W: W - i mod W chunks of this size from b, then i mod W of the next.
+        rank, wider = i % workers, min(2 * size, _CHUNK)
+        start = b + (workers - rank) * size + rank * wider
+        yield rank, chunk, range(start, min(end, start + wider))
         b, i = chunk.stop, i + 1
         if i % workers == 0:
-            size = min(2 * size, _CHUNK)
+            size = wider
 
 
 def _worker(sim, rank, workers, stop, conn, inherited):
@@ -394,11 +395,10 @@ def _worker(sim, rank, workers, stop, conn, inherited):
     for read_end in inherited:
         read_end.close()
     try:
-        sim.start_helper(rank, workers)
         for p in range(len(sim.sigmas)):
-            for owner, chunk in _chunks(workers, _n_batches(sim.config), stop, p):
+            for owner, chunk, later in _chunks(workers, stop, p):
                 if owner == rank:
-                    conn.send_bytes(_HEADER.pack(p, chunk.start) + sim.run_batches(p, chunk).tobytes())
+                    conn.send_bytes(_HEADER.pack(p, chunk.start) + sim.run_batches(p, chunk, later).tobytes())
     except Exception as exc:
         import traceback
 
@@ -420,10 +420,11 @@ class _Executor:
     the _Simulation and the imported modules. (Spawn or forkserver, which
     Python 3.14 made the default on Linux, would pay the interpreter
     start-up and imports, about 0.1 s, again in every campaign.) Every
-    process walks the same chunks of a point (_chunks): the calling process
-    runs its own as it needs them and reads each other chunk from its
-    owner's pipe, which carries that worker's chunks in (point, batch)
-    order, and it publishes each point's stop (see the module docstring).
+    process walks the same chunks of a point (_chunks) and runs each of its
+    own with its next one for the helper to draw: the calling process runs
+    its own as it needs them and reads each other chunk from its owner's
+    pipe, which carries that worker's chunks in (point, batch) order, and
+    it publishes each point's stop (see the module docstring).
     A forked worker runs ahead of the calling process until its pipe is
     full and blocks in send_bytes: a 64 KiB Linux pipe holds about 15
     batches' records (three four-batch chunks, a fourth blocked in
@@ -434,7 +435,7 @@ class _Executor:
         self.sim, self.config, self.workers = sim, sim.config, workers
         self.procs = []  # (result pipe, process) of ranks 1..W-1
         mp = multiprocessing.get_context("fork")
-        self.stop = [_n_batches(sim.config)] * len(sim.sigmas)
+        self.stop = [-(-self.config.max_blocks // TRIAL_BATCH)] * len(sim.sigmas)
         if workers > 1:  # the first RawArray of a process costs about 6 ms in imports
             self.stop = mp.RawArray("q", self.stop)
         try:
@@ -446,7 +447,6 @@ class _Executor:
                 proc.start()
                 send.close()
                 self.procs.append((recv, proc))
-            sim.start_helper(0, workers)  # after the forks, which copy no thread
         except BaseException:
             self.close()
             raise
@@ -457,8 +457,8 @@ class _Executor:
         return result
 
     def _ordered(self, p):
-        for rank, chunk in _chunks(self.workers, _n_batches(self.config), self.stop, p):
-            yield self._receive(rank, p) if rank else self.sim.run_batches(p, chunk)
+        for rank, chunk, later in _chunks(self.workers, self.stop, p):
+            yield self._receive(rank, p) if rank else self.sim.run_batches(p, chunk, later)
 
     def _receive(self, rank, p):
         """The next chunk of point p from worker `rank`'s pipe, past its

@@ -71,30 +71,23 @@ class SoftWord:
         return self.samples.shape[-1]
 
 
-def modulate(bits, out=None):
-    """Antipodal map bit -> 1 - 2*bit. Accepts a BitVec or a 0/1 array.
-
-    out, a float64 array of the bits' shape, receives the samples.
-    """
+def modulate(bits):
+    """Antipodal map bit -> 1 - 2*bit. Accepts a BitVec or a 0/1 array."""
     if isinstance(bits, BitVec):
         bits = bits.to_array()
     # -2 bit + 1 is 1 - 2 bit exactly, and needs no temporary.
-    x = np.multiply(bits, -2.0, out=out, dtype=np.float64)
+    x = np.multiply(bits, -2.0, dtype=np.float64)
     x += 1.0
     return x
 
 
-def awgn_samples(x, sigma, rng, out=None):
-    """x plus i.i.d. N(0, sigma^2) noise, any shape.
-
-    out, a C-contiguous float64 array of x's shape that does not overlap
-    x, receives the samples: the noise is drawn into it, then scaled and
-    shifted in place, the same products and sums as x + sigma * noise.
-    """
+def awgn_samples(x, sigma, rng):
+    """x plus i.i.d. N(0, sigma^2) noise, any shape: the noise, scaled and
+    shifted in place, the same products and sums as x + sigma * noise."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
-    y = rng.standard_normal(x.shape, out=out)
+    y = rng.standard_normal(x.shape)
     y *= sigma
     y += x
     return y

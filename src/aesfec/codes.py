@@ -118,7 +118,7 @@ def scratch(role, shape, dtype):
     """An uninitialised array in role's buffer, valid until role's next use.
 
     One buffer per role serves the whole process (the search core's step
-    arrays, the AES oracle's plaintexts, a campaign's channel arrays):
+    arrays, the AES oracle's plaintexts, a campaign's hard bits):
     transients their size would each be mapped and unmapped by the
     allocator, a page fault per 4 KiB touched.
     """

@@ -96,6 +96,8 @@ class TestConfig:
             dict(code_kind="rlc", aes_key_hex="zz"),
             # A key that is not a string at all.
             dict(aes_key_hex=5),
+            # A batch count the workers' int64 stops would wrap.
+            dict(max_blocks=2**63),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -233,10 +235,10 @@ def _fail_at_batch(monkeypatch, batch, fail):
     # entry point, which every worker calls, the calling process too.
     run_batches = campaign._Simulation.run_batches
 
-    def patched(self, point, batches):
+    def patched(self, point, batches, later=()):
         if batch in batches:
             fail()
-        return run_batches(self, point, batches)
+        return run_batches(self, point, batches, later)
 
     monkeypatch.setattr(campaign._Simulation, "run_batches", patched)
 
@@ -306,10 +308,10 @@ class TestExecutor:
         run_batches = campaign._Simulation.run_batches
         calling_process = os.getpid()
 
-        def slow_calling_process(self, point, batches):
+        def slow_calling_process(self, point, batches, later=()):
             if os.getpid() == calling_process:
                 time.sleep(0.1 * len(batches))
-            return run_batches(self, point, batches)
+            return run_batches(self, point, batches, later)
 
         monkeypatch.setattr(campaign._Simulation, "run_batches", slow_calling_process)
         assert run_campaign(cfg, workers=workers).canonical_json() == want
@@ -367,28 +369,53 @@ class TestExecutor:
         assert conn.sent == [(0, 1, 1), (0, 4, 2), (1, 1, 1), (1, 4, 2), (1, 10, 2)]
 
     def test_chunks_double_up_to_the_cap(self):
-        def chunks(workers, n_batches, stop):
-            return [(rank, list(c)) for rank, c in campaign._chunks(workers, n_batches, [stop], 0)]
+        def chunks(workers, stop):
+            return [(rank, list(c)) for rank, c, _ in campaign._chunks(workers, [stop], 0)]
 
-        assert chunks(1, 12, 12) == [(0, [0]), (0, [1, 2]), (0, [3, 4, 5, 6]), (0, [7, 8, 9, 10]), (0, [11])]
+        assert chunks(1, 12) == [(0, [0]), (0, [1, 2]), (0, [3, 4, 5, 6]), (0, [7, 8, 9, 10]), (0, [11])]
         # Every worker runs one batch before any runs two.
-        assert chunks(3, 30, 30) == [
+        assert chunks(3, 30) == [
             (0, [0]), (1, [1]), (2, [2]),
             (0, [3, 4]), (1, [5, 6]), (2, [7, 8]),
             (0, [9, 10, 11, 12]), (1, [13, 14, 15, 16]), (2, [17, 18, 19, 20]),
             (0, [21, 22, 23, 24]), (1, [25, 26, 27, 28]), (2, [29]),
         ]
-        assert chunks(3, 30, 2) == [(0, [0]), (1, [1])]
-        assert chunks(2, 30, 5) == [(0, [0]), (1, [1]), (0, [2, 3]), (1, [4])]
+        assert chunks(3, 2) == [(0, [0]), (1, [1])]
+        assert chunks(2, 5) == [(0, [0]), (1, [1]), (0, [2, 3]), (1, [4])]
+
+    def test_later_is_the_same_workers_next_chunk(self):
+        # later, computed in closed form, is chunk i + W of the walk with no
+        # stop published, clipped to the stop read with chunk i: in full
+        # when nothing is published, and when a stop is published after
+        # chunk 0 or chunk W of the walk.
+        def clip(chunk, end):
+            return range(chunk.start, min(chunk.stop, end))
+
+        for workers in range(1, 6):
+            for n in range(1, 301):
+                full = [chunk for _, chunk, _ in campaign._chunks(workers, [n], 0)]
+                for i, (rank, _, later) in enumerate(campaign._chunks(workers, [n], 0)):
+                    assert rank == i % workers
+                    assert later == (full[i + workers] if i + workers < len(full) else range(0))
+                for published in {1, n // 3, n // 2, n - 1} - {0, n}:
+                    for after in (0, workers):
+                        stop = [n]
+                        for i, (rank, chunk, later) in enumerate(campaign._chunks(workers, stop, 0)):
+                            end = stop[0]
+                            assert chunk == clip(full[i], end)
+                            assert later == (clip(full[i + workers], end) if i + workers < len(full) else range(0))
+                            if i == after:
+                                stop[0] = published
+                        assert chunk.stop >= stop[0]  # the walk ends at the stop, not before
 
     def test_stop_in_batch_0_computes_one_batch(self, monkeypatch):
         # The first chunk is one batch, so an early stop costs no more.
         computed = []
         run_batches = campaign._Simulation.run_batches
 
-        def counting(self, point, batches):
+        def counting(self, point, batches, later=()):
             computed.extend(batches)
-            return run_batches(self, point, batches)
+            return run_batches(self, point, batches, later)
 
         monkeypatch.setattr(campaign._Simulation, "run_batches", counting)
         res = run_campaign(CampaignConfig(**dict(FAST, ebn0_grid_db=(4.0,))))
@@ -410,7 +437,7 @@ class TestExecutor:
             assert (want.points[0].blocks - 1) // TRIAL_BATCH == stop_batch
             assert want.points[1].blocks == cfg.max_blocks
             for workers, chunk in chunks.items():
-                assert next(list(c) for _, c in campaign._chunks(workers, 24, [24], 0) if stop_batch in c) == chunk
+                assert next(list(c) for _, c, _ in campaign._chunks(workers, [24], 0) if stop_batch in c) == chunk
             for workers in (2, 3):
                 assert run_campaign(cfg, workers=workers).canonical_json() == want.canonical_json()
 
@@ -458,10 +485,10 @@ class TestExecutor:
             "import multiprocessing, os, signal\n"
             "from aesfec import campaign\n"
             "run_batches = campaign._Simulation.run_batches\n"
-            "def patched(self, p, batches):\n"
+            "def patched(self, p, batches, later=()):\n"
             "    if 4 in batches:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return run_batches(self, p, batches)\n"
+            "    return run_batches(self, p, batches, later)\n"
             "campaign._Simulation.run_batches = patched\n"
             "cfg = campaign.CampaignConfig(code_kind='rlc', decoder_kind='orbgrand', ebn0_grid_db=(7.0,))\n"
             "try:\n"
@@ -488,11 +515,11 @@ class TestExecutor:
             "from aesfec import campaign\n"
             "run_batches = campaign._Simulation.run_batches\n"
             "calling_process = os.getpid()\n"
-            "def patched(self, p, batches):\n"
+            "def patched(self, p, batches, later=()):\n"
             "    if os.getpid() == calling_process:\n"
             "        print(*(proc.pid for proc in multiprocessing.active_children()), flush=True)\n"
             "        os.kill(calling_process, signal.SIGKILL)\n"
-            "    return run_batches(self, p, batches)\n"
+            "    return run_batches(self, p, batches, later)\n"
             "campaign._Simulation.run_batches = patched\n"
             "campaign.run_campaign(campaign.CampaignConfig(code_kind='rlc', ebn0_grid_db=(9.0,)), workers=3)\n"
         )
@@ -821,6 +848,14 @@ def _within(seconds, fn):
         raise raised[0]
 
 
+def _start_helper(sim):
+    """Start sim's helper as a campaign does, by handing run_batches a next
+    chunk to draw, and wait for that draw."""
+    sim.run_batches(0, range(0, 1), range(1, 2))
+    assert sim.helper.is_alive()
+    _settle(sim)
+
+
 def _submit(sim, point, chunk, slot):
     """Start the draw of point's chunk into draw slot `slot` on sim's helper, as run_batches does."""
     sim.pending = (point, list(enumerate(chunk)), slot, chunk)
@@ -854,7 +889,7 @@ def test_run_batches_takes_or_discards_the_pending_draw(code, decoder):
 
     def run():
         sim = campaign._Simulation(cfg)
-        sim.start_helper(0, 1)
+        _start_helper(sim)
         try:
             for pause in (0.0, 0.05):
                 for slot in (0, 1):
@@ -946,7 +981,7 @@ def test_draws_stay_whole_when_threads_switch_every_microsecond():
 
     def run():
         sim = campaign._Simulation(cfg)
-        sim.start_helper(0, 1)
+        _start_helper(sim)
         try:
             for _ in range(200):
                 for a in sim.slots[1]:
@@ -965,3 +1000,44 @@ def test_draws_stay_whole_when_threads_switch_every_microsecond():
     finally:
         sys.setswitchinterval(interval)
     assert len(got) == 200 and all(g == want for g in got)
+
+
+def test_max_blocks_does_not_change_the_cost_of_an_early_stop():
+    # A 3 dB point stops within its first batch, so max_blocks only sets the
+    # batch count it would have run: no process may walk a schedule to it.
+    # The child's memory cap and timeout keep a regression from taking the
+    # suite with it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import json, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+        "from aesfec.campaign import CampaignConfig, run_campaign\n"
+        "for workers in (1, 2):\n"
+        "    for max_blocks in (10**6, 2**62):\n"
+        "        cfg = CampaignConfig(code_kind='rlc', ebn0_grid_db=(3.0,), min_block_errors=10, max_blocks=max_blocks)\n"
+        "        print(json.dumps([p.to_dict() for p in run_campaign(cfg, workers=workers).points]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    points = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(points) == 4 and all(p == points[0] for p in points)
+    assert points[0][0]["block_errors"] == 10 and points[0][0]["blocks"] < TRIAL_BATCH
+
+
+def test_no_draw_thread_for_run_block_or_a_one_batch_point(monkeypatch):
+    # The helper starts at the first next chunk a process is handed, which
+    # run_block and a point of one batch never hand it.
+    started = []
+    help_ = campaign._Simulation._help
+
+    def counting(self):
+        started.append(threading.current_thread().name)
+        help_(self)
+
+    monkeypatch.setattr(campaign._Simulation, "_help", counting)
+    run_block(CampaignConfig(**FAST), 0, 137)
+    run_campaign(CampaignConfig(**dict(FAST, max_blocks=TRIAL_BATCH)))
+    assert started == []
+    run_campaign(CampaignConfig(**dict(FAST, max_blocks=TRIAL_BATCH + 1)))
+    assert started == ["campaign draw"]

@@ -205,6 +205,17 @@ def test_run_rejects_a_worker_count_outside_1_to_64_before_output(tmp_path, caps
     assert not out.parent.exists()
 
 
+def test_run_rejects_max_blocks_past_int64_before_output(tmp_path, capsys):
+    # The forked workers share each point's batch count as an int64, which
+    # would wrap a larger count into a short, wrong campaign.
+    out = tmp_path / "out" / "x.json"
+    assert main(["run", "--ebn0", "8.0", "--max-blocks", str(2**63), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_blocks must be >= 1 and <= {2**63 - 1}, got {2**63}\n"
+    assert not out.parent.exists()
+
+
 def test_run_rejects_a_bad_key_for_the_rlc_code_too(tmp_path):
     out = tmp_path / "out" / "x.json"
     src = Path(__file__).resolve().parent.parent / "src"
