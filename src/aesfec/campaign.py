@@ -10,10 +10,11 @@ that differ only in code or decoder see identical messages and noise
 (paired comparisons).
 
 A point stops after the trial that produces the min_block_errors-th block
-error, or at max_blocks. The stopping trial is found on the per-trial
-record concatenated in batch order, so batches computed past it never
-change which trials are counted. Abandoned blocks (query budget exhausted)
-count as block errors with ceil(k/2) message bit errors.
+error, or at max_blocks. Its chunks are folded in batch order into running
+counts and an exact query histogram, the one holding the stopping trial cut
+after it: batches past it never change which trials are counted, and no
+record outlives its chunk. Abandoned blocks (query budget exhausted) count
+as block errors with ceil(k/2) message bit errors.
 
 A campaign builds its working state once per process (_Simulation). Its
 unit of work is a chunk: 1, 2, then 4 contiguous batches of a point,
@@ -32,7 +33,9 @@ chunk while the current one decodes.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -311,26 +314,32 @@ def run_block(config, point_index, trial_index):
 
 def _point_result(config, point_index, chunks):
     """PointResult of one point from its chunks' records in batch order,
-    read up to the chunk that holds the stopping trial (all of them if the
-    rule never fires), and the number of batches its counted trials span."""
-    recs, seen_errors = [], 0
+    and the number of batches its counted trials span. Each chunk is folded,
+    as it is read, into running counts and an exact {queries: blocks}
+    histogram; the chunk that holds the stopping trial is cut after it, from
+    its error cumsum and the errors already folded, and ends the loop."""
+    blocks = block_errors = total_bit_errors = abandoned = 0
+    hist = {}
     for rec in chunks:
-        recs.append(rec)
-        seen_errors += int(np.count_nonzero(rec["bit_errors"]))
-        if seen_errors >= config.min_block_errors:
+        errors = int(np.count_nonzero(rec["bit_errors"]))
+        stop = block_errors + errors >= config.min_block_errors
+        if stop:
+            errors = config.min_block_errors - block_errors
+            rec = rec[: int(np.searchsorted(np.cumsum(rec["bit_errors"] > 0), errors)) + 1]
+        blocks += len(rec)
+        block_errors += errors
+        total_bit_errors += int(rec["bit_errors"].sum())
+        abandoned += int(np.count_nonzero(rec["abandoned"]))
+        # Each distinct count ends at its last index in the sorted queries.
+        queries = np.sort(rec["queries"])
+        last = np.flatnonzero(queries[1:] != queries[:-1]).tolist() + [len(queries) - 1]
+        for value, end, previous in zip(queries[last].tolist(), last, [-1, *last]):
+            hist[value] = hist.get(value, 0) + end - previous
+        if stop:
             break
-    # Field by field: concatenating the structured records is several times slower.
-    bit_errors, queries, abandoned = (np.concatenate([rec[name] for rec in recs]) for name in _RECORD.names)
-    error = bit_errors > 0
-    blocks = len(error)
-    if seen_errors >= config.min_block_errors:
-        blocks = int(np.searchsorted(np.cumsum(error), config.min_block_errors)) + 1
-    error, bit_errors, queries, abandoned = (a[:blocks] for a in (error, bit_errors, queries, abandoned))
 
     point = ChannelPoint(config.ebn0_grid_db[point_index], config.params.rate)
-    block_errors = int(error.sum())
     total_bits = blocks * config.k
-    total_bit_errors = int(bit_errors.sum())
     bler_lo, bler_hi = wilson_interval(block_errors, blocks)
     ber_lo, ber_hi = wilson_interval(total_bit_errors, total_bits)
     return PointResult(
@@ -340,7 +349,7 @@ def _point_result(config, point_index, chunks):
         blocks=blocks,
         block_errors=block_errors,
         bit_errors=total_bit_errors,
-        abandoned_blocks=int(abandoned.sum()),
+        abandoned_blocks=abandoned,
         bler=block_errors / blocks,
         bler_ci_low=bler_lo,
         bler_ci_high=bler_hi,
@@ -348,8 +357,8 @@ def _point_result(config, point_index, chunks):
         ber_ci_low=ber_lo,
         ber_ci_high=ber_hi,
         bler_rule_of_three_upper=(3.0 / blocks if block_errors == 0 else None),
-        mean_queries=float(queries.mean()),
-        p99_queries=_p99(queries),
+        mean_queries=sum(value * count for value, count in hist.items()) / blocks,
+        p99_queries=_p99(hist),
     ), -(-blocks // TRIAL_BATCH)
 
 
@@ -489,22 +498,23 @@ class _Executor:
             conn.close()
 
 
-def _p99(values):
-    """float(np.percentile(values, 99)) for a nonempty integer array.
+def _p99(hist):
+    """float(np.percentile(values, 99)) of the n > 0 integer values that
+    `hist` counts, as {value: count}.
 
     numpy's linear method, written out: the 99th percentile sits at index
     h = 0.99 (n - 1) of the sorted values; with a and b the values at
     floor(h) and the next index (the last, at most) and g = h - floor(h),
-    it is a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5. The same
-    float operations give the same bits, and a partition at the two
-    indices replaces np.percentile's one, whose np.unique imports
-    numpy.ma on first use.
+    it is a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5. The same float
+    operations give the same bits. Index i holds the first value whose
+    cumulative count exceeds i; np.percentile's np.unique imports numpy.ma.
     """
-    h = (len(values) - 1) * 0.99
+    values = sorted(hist)
+    cumulative = list(itertools.accumulate(hist[v] for v in values))
+    n = cumulative[-1]
+    h = (n - 1) * 0.99
     lo = math.floor(h)
-    hi = min(lo + 1, len(values) - 1)
-    part = np.partition(values, (lo, hi))
-    a, b = int(part[lo]), int(part[hi])
+    a, b = (values[bisect.bisect_right(cumulative, i)] for i in (lo, min(lo + 1, n - 1)))
     g = h - lo
     return float(a + (b - a) * g) if g < 0.5 else float(b - (b - a) * (1 - g))
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -797,10 +799,88 @@ def test_campaign_builds_one_cipher(monkeypatch):
 @example([2] * 101)
 def test_p99_matches_numpy_percentile(values):
     q = np.array(values, dtype=np.int64)
-    got = campaign._p99(q)
+    hist = dict(Counter(values))
+    got = campaign._p99(hist)
     assert type(got) is float
     assert got == float(np.percentile(q, 99))
-    assert np.array_equal(q, values)  # the input is not reordered
+    assert hist == Counter(values)  # the input is not changed
+
+
+def _reference_point_result(config, chunks):
+    """_point_result the way it was first written: every chunk's records
+    concatenated, the stop found on the error cumsum, np.mean and
+    np.percentile over the counted trials' queries."""
+    bit_errors, queries, abandoned = (np.concatenate([c[name] for c in chunks]) for name in campaign._RECORD.names)
+    error = bit_errors > 0
+    blocks = len(error)
+    if np.count_nonzero(error) >= config.min_block_errors:
+        blocks = int(np.searchsorted(np.cumsum(error), config.min_block_errors)) + 1
+    error, bit_errors, queries, abandoned = (a[:blocks] for a in (error, bit_errors, queries, abandoned))
+    block_errors, total_bit_errors = int(error.sum()), int(bit_errors.sum())
+    bler_ci_low, bler_ci_high = wilson_interval(block_errors, blocks)
+    ber_ci_low, ber_ci_high = wilson_interval(total_bit_errors, blocks * config.k)
+    point = campaign.ChannelPoint(config.ebn0_grid_db[0], config.params.rate)
+    return PointResult(
+        ebn0_db=config.ebn0_grid_db[0], sigma=point.sigma, noise_entropy_bits=point.noise_entropy_bits,
+        blocks=blocks, block_errors=block_errors, bit_errors=total_bit_errors,
+        abandoned_blocks=int(abandoned.sum()), bler=block_errors / blocks,
+        bler_ci_low=bler_ci_low, bler_ci_high=bler_ci_high, ber=total_bit_errors / (blocks * config.k),
+        ber_ci_low=ber_ci_low, ber_ci_high=ber_ci_high,
+        bler_rule_of_three_upper=3.0 / blocks if block_errors == 0 else None,
+        mean_queries=float(queries.mean()), p99_queries=float(np.percentile(queries, 99)),
+    ), -(-blocks // TRIAL_BATCH)
+
+
+@st.composite
+def _point_chunks(draw):
+    """(min_block_errors, chunks of records) with the stop on a chunk's first
+    or last row, anywhere, or never."""
+    sizes = draw(st.just([1]) | st.lists(st.integers(1, 1024), min_size=1, max_size=6))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    top = draw(st.sampled_from([1, 3, 10**6]) | st.integers(1, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rec = np.zeros(sum(sizes), campaign._RECORD)
+    error = rng.random(len(rec)) < density
+    rec["abandoned"] = error & (rng.random(len(rec)) < 0.1)
+    rec["bit_errors"] = np.where(rec["abandoned"], 58, np.where(error, rng.integers(1, 117, len(rec)), 0))
+    rec["queries"] = rng.integers(1, top + 1, len(rec))
+    ends = np.cumsum(sizes)
+    where = draw(st.sampled_from(["first", "last", "any", "never"]))
+    if where in ("first", "last"):
+        j = draw(st.integers(0, len(sizes) - 1))
+        row = ends[j] - sizes[j] if where == "first" else ends[j] - 1
+        rec["bit_errors"][row] = max(1, rec["bit_errors"][row])
+        min_block_errors = int(np.count_nonzero(rec["bit_errors"][: row + 1]))
+    else:
+        total = int(np.count_nonzero(rec["bit_errors"]))
+        low = 1 if where == "any" else total + 1
+        min_block_errors = draw(st.integers(low, max(low, total) + 2))
+    return min_block_errors, np.split(rec, ends[:-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_chunks())
+def test_point_result_folds_exactly_as_concatenating(case):
+    min_block_errors, chunks = case
+    config = CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.5,), min_block_errors=min_block_errors)
+    read = []
+    got, batches = campaign._point_result(config, 0, (read.append(c) or c for c in chunks))
+    want, want_batches = _reference_point_result(config, chunks)
+    assert [(f, type(v), v) for f, v in got.to_dict().items()] == [(f, type(v), v) for f, v in want.to_dict().items()]
+    assert batches == want_batches
+    # No chunk is read past the one that holds the stopping trial.
+    assert len(read) == (np.searchsorted(np.cumsum([len(c) for c in chunks]), want.blocks) + 1)
+
+
+def test_mean_queries_stays_exact_past_2_to_the_53():
+    queries = [2**53 + 1, 2**53 + 3, 2**52 + 1, 7] * 256
+    rec = np.zeros(len(queries), campaign._RECORD)
+    rec["queries"] = queries
+    config = CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.5,))
+    got, _ = campaign._point_result(config, 0, [rec[:5], rec[5:]])
+    assert sum(queries) > 2**53
+    assert got.mean_queries == float(Fraction(sum(queries), len(queries)))
+    assert got.mean_queries != float(rec["queries"].mean())  # a float sum rounds
 
 
 def test_campaign_does_not_import_numpy_ma():
@@ -820,6 +900,28 @@ def test_campaign_does_not_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_point_runs_in_constant_memory(workers):
+    # A point once held 17 bytes a trial until it ended: 6*10^5 blocks
+    # raised the peak RSS about 24 MiB above a 2*10^4-block point's. The
+    # child reads its peak as VmHWM: ru_maxrss also counts the peak of the
+    # process that started it, which Linux carries across exec.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from aesfec.campaign import CampaignConfig, run_campaign\n"
+        "for blocks in (2 * 10**4, 6 * 10**5):\n"
+        "    cfg = CampaignConfig(code_kind='rlc', ebn0_grid_db=(12.0,), min_block_errors=blocks + 1, max_blocks=blocks)\n"
+        f"    run_campaign(cfg, workers={workers})\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    short, long = map(int, proc.stdout.split())  # kB
+    assert long - short < 5 * 1024
 
 
 def _settle(sim):
