@@ -25,10 +25,10 @@ calling process is worker 0, and W - 1 forked workers send each chunk's
 records down their own pipe (_Executor). As soon as the chunks in order
 hold a point's stopping trial, the calling process publishes the point's
 batch count, and each forked worker clips its next chunk to it. A process
-starts one helper thread when it is first handed a next chunk to draw,
-after any fork (never for run_block or a one-batch point), and joins it as
-the campaign ends. The helper runs only _draw: it draws the process's next
-chunk while the current one decodes.
+starts its helper, a one-thread executor, when first handed a next chunk
+to draw, after any fork (never for run_block or a one-batch point); its
+thread ends with the campaign, or with the _Simulation. The helper runs
+only _draw: it draws the process's next chunk while the current one decodes.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ import json
 import math
 import multiprocessing
 import pickle
-import struct
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -192,8 +191,9 @@ def wilson_interval(successes, trials, z=Z95):
 
 class _Simulation:
     """A campaign's working state, built once per process: the oracle over
-    its cipher or code, the message mask, each point's sigma, and two draw
-    slots, each with room for a chunk's message bits and standard normals."""
+    its cipher or code, the message mask, each point's sigma, two draw
+    slots, each with room for a chunk's message bits and standard normals,
+    and the helper, a one-thread executor whose thread ends with it."""
 
     def __init__(self, config):
         self.config = config
@@ -206,24 +206,13 @@ class _Simulation:
         self.msg_mask = message_bit_mask(params)
         rows = _CHUNK * TRIAL_BATCH
         self.slots = [(np.empty((rows, params.k), np.uint8), np.empty((rows, params.n))) for _ in range(2)]
-        self.helper = self.pending = None  # pending: (point, todo, slot, chunk) of the helper's draw
-        self.go, self.done, self.error = threading.Semaphore(0), threading.Semaphore(0), None
+        self.helper = self.pending = None  # pending: (point, todo, slot, chunk, future) of the helper's draw
 
     def stop_helper(self):
-        """Join the draw thread, if one runs; safe to call at any point."""
+        """Shut the draw thread down, if one runs; safe to call at any point."""
         if self.helper is not None:
-            self.pending = None
-            self.go.release()
-            self.helper.join()
-            self.helper = None
-
-    def _help(self):
-        while self.go.acquire() and (pending := self.pending) is not None:
-            try:
-                self._draw(*pending[:3])
-            except BaseException as exc:  # raised again by run_batches
-                self.error = exc
-            self.done.release()
+            self.helper.shutdown()
+            self.helper = self.pending = None
 
     def _draw(self, point, todo, slot):
         """Draw grid point `point`'s batches into draw slot `slot`, the one
@@ -255,7 +244,7 @@ class _Simulation:
         rows = sum(min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH) for b in batches)
         slot, todo, pending = 0, list(enumerate(batches)), self.pending
         if pending is not None:
-            p, shared, slot, drawn = pending
+            p, shared, slot, drawn, future = pending
             if p == point and list(drawn[: len(batches)]) == list(batches):
                 todo = shared
             else:
@@ -263,17 +252,13 @@ class _Simulation:
                 slot = 1 - slot
         self._draw(point, todo, slot)
         if pending is not None:
-            self.done.acquire()  # no draw writes a slot from here
-            self.pending, error, self.error = None, self.error, None
-            if error is not None:
-                raise error
+            self.pending = None
+            future.result()  # no draw writes a slot from here; raises what the draw raised
         if later:
             if self.helper is None:  # first needed here, after any fork, which copies no thread
-                helper = threading.Thread(target=self._help, name="campaign draw", daemon=True)
-                helper.start()
-                self.helper = helper  # once it runs, for stop_helper to join
-            self.pending = (point, list(enumerate(later)), 1 - slot, later)
-            self.go.release()
+                self.helper = ThreadPoolExecutor(1, "campaign draw")
+            todo = list(enumerate(later))
+            self.pending = (point, todo, 1 - slot, later, self.helper.submit(self._draw, point, todo, 1 - slot))
         bits, y = (a[:rows] for a in self.slots[slot])
         # A correct decode hands back the message in its first k bits: the
         # padded plaintext for the aes code, the systematic codeword for the rlc.
@@ -369,10 +354,6 @@ def run_point(config, point_index):
         return runner.run_point(point_index)
 
 
-# A worker's message: (point, first batch) and that chunk's records, or
-# point -1 and the worker's rank followed by its pickled (exception, traceback).
-_HEADER = struct.Struct("<qq")
-
 _CHUNK = 4  # batches per chunk at most (1,024 rows in one guess call)
 
 
@@ -397,27 +378,27 @@ def _chunks(workers, stop, p):
 def _worker(sim, rank, workers, stop, conn, inherited):
     """Body of campaign worker `rank` of `workers`, on the _Simulation it
     inherits from the parent: walks the chunks (_chunks) of each grid point,
-    points in order, and sends the records of each chunk it owns down its
-    pipe as one message, blocking while the pipe is full. It first closes
-    the pipe read ends it inherited (its own and earlier ranks'), so that a
-    send fails, and the worker exits, once the calling process is gone."""
+    points in order, and sends each chunk it owns down its pipe as one
+    pickled (point, records) message, or (-1, (exception, traceback)) if it
+    fails, blocking while the pipe is full. It first closes the pipe read
+    ends it inherited (its own and earlier ranks'), so that a send fails,
+    and the worker exits, once the calling process is gone."""
     for read_end in inherited:
         read_end.close()
     try:
         for p in range(len(sim.sigmas)):
             for owner, chunk, later in _chunks(workers, stop, p):
                 if owner == rank:
-                    conn.send_bytes(_HEADER.pack(p, chunk.start) + sim.run_batches(p, chunk, later).tobytes())
+                    conn.send((p, sim.run_batches(p, chunk, later)))
     except Exception as exc:
         import traceback
 
         tb = traceback.format_exc()
         try:
-            payload = pickle.dumps((exc, tb))
-            pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
+            pickle.loads(pickle.dumps(exc))  # some exceptions pickle but cannot be rebuilt
         except Exception:
-            payload = pickle.dumps((RuntimeError(repr(exc)), tb))
-        conn.send_bytes(_HEADER.pack(-1, rank) + payload)
+            exc = RuntimeError(repr(exc))
+        conn.send((-1, (exc, tb)))
     finally:
         sim.stop_helper()
         conn.close()
@@ -435,9 +416,9 @@ class _Executor:
     pipe, which carries that worker's chunks in (point, batch) order, and
     it publishes each point's stop (see the module docstring).
     A forked worker runs ahead of the calling process until its pipe is
-    full and blocks in send_bytes: a 64 KiB Linux pipe holds about 15
-    batches' records (three four-batch chunks, a fourth blocked in
-    send_bytes). close() terminates it there.
+    full and blocks in send: a 64 KiB Linux pipe holds about 15 batches'
+    records (three four-batch chunks, a fourth blocked in send). close()
+    terminates it there.
     """
 
     def __init__(self, sim, workers):
@@ -476,20 +457,19 @@ class _Executor:
         conn, proc = self.procs[rank - 1]
         while True:
             try:
-                buf = conn.recv_bytes()
+                q, rec = conn.recv()
             except EOFError:
                 # A worker's pipe ends when the worker exits, however it exits.
                 proc.join()
                 raise RuntimeError(f"{proc.name} (pid {proc.pid}) died with exit code {proc.exitcode}")
-            q, b = _HEADER.unpack_from(buf)
             if q < 0:
-                exc, tb = pickle.loads(buf[_HEADER.size :])
-                raise exc from RuntimeError(f"in campaign worker {b}:\n{tb}")
+                exc, tb = rec
+                raise exc from RuntimeError(f"in campaign worker {rank}:\n{tb}")
             if q == p:
-                return np.frombuffer(buf, _RECORD, offset=_HEADER.size)
+                return rec
 
     def close(self):
-        """Join the draw thread, stop and reap every worker; safe at any point."""
+        """Shut the draw thread down, stop and reap every worker; safe at any point."""
         self.sim.stop_helper()
         for _, proc in self.procs:
             proc.terminate()

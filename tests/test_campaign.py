@@ -1,17 +1,21 @@
 """Monte Carlo campaign engine: addressing, stopping, serialization."""
 
+import gc
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +258,38 @@ def _running(pid):
         return False
 
 
+def _recorded(sim):
+    """sim, keeping each (point, chunk, records) of its run_batches calls in sim.calls."""
+    run_batches, sim.calls = sim.run_batches, []
+
+    def recording(point, batches, later=()):
+        sim.calls.append((point, batches, run_batches(point, batches, later)))
+        return sim.calls[-1][2]
+
+    sim.run_batches = recording
+    return sim
+
+
+class _Conn:
+    """A worker's pipe end for a _recorded sim: each message, pickled and
+    read back as the pipe carries it, must be the point and the records of
+    the run_batches call just made, byte for byte. sent keeps each
+    message's (point, first batch, batches)."""
+
+    def __init__(self, sim):
+        self.sim, self.sent = sim, []
+
+    def send(self, msg):
+        p, rec = pickle.loads(ForkingPickler.dumps(msg))
+        point, chunk, want = self.sim.calls[-1]
+        assert len(self.sim.calls) == len(self.sent) + 1
+        assert p == point and rec.dtype == want.dtype and rec.tobytes() == want.tobytes()
+        self.sent.append((p, chunk.start, len(rec) // TRIAL_BATCH))
+
+    def close(self):
+        pass
+
+
 class UnrebuildableError(Exception):
     # Pickles as (class, args), but args holds one message, not (a, b).
     def __init__(self, a, b):
@@ -337,37 +373,27 @@ class TestExecutor:
         assert all(closed and exitcode is not None for closed, exitcode in seen[0])
 
     def test_worker_reads_the_published_stop_before_each_batch(self):
-        class Conn:
-            def __init__(self):
-                self.sent = []
-
-            def send_bytes(self, buf):
-                # (point, first batch, batches) of one chunk message
-                p, b = campaign._HEADER.unpack_from(buf)
-                self.sent.append((p, b, (len(buf) - campaign._HEADER.size) // (campaign._RECORD.itemsize * TRIAL_BATCH)))
-
-            def close(self):
-                pass
-
         # Worker 2 of 3 owns chunks [2] and [7] of 8 batches ([7, 8] cut at
         # the last batch). Point 1's stop, 7, drops the second.
         cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=8 * TRIAL_BATCH))
-        conn = Conn()
-        campaign._worker(campaign._Simulation(cfg), 2, 3, [8, 7], conn, ())
+        sim = _recorded(campaign._Simulation(cfg))
+        conn = _Conn(sim)
+        campaign._worker(sim, 2, 3, [8, 7], conn, ())
         assert conn.sent == [(0, 2, 1), (0, 7, 1), (1, 2, 1)]
 
         # Worker 1 of 2 owns chunks [1], [4, 5] and [10, ..., 13] of 16
         # batches. Point 0's stop, 10, lands on a chunk boundary; point 1's,
         # 12, is published as its second chunk is sent, and cuts the third.
-        class Publishing(Conn):
-            def send_bytes(self, buf):
-                super().send_bytes(buf)
+        class Publishing(_Conn):
+            def send(self, msg):
+                super().send(msg)
                 if self.sent[-1][:2] == (1, 4):
                     stop[1] = 12
 
         cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(8.0, 8.0), max_blocks=16 * TRIAL_BATCH))
-        conn, stop = Publishing(), [10, 16]
-        campaign._worker(campaign._Simulation(cfg), 1, 2, stop, conn, ())
+        sim = _recorded(campaign._Simulation(cfg))
+        conn, stop = Publishing(sim), [10, 16]
+        campaign._worker(sim, 1, 2, stop, conn, ())
         assert conn.sent == [(0, 1, 1), (0, 4, 2), (1, 1, 1), (1, 4, 2), (1, 10, 2)]
 
     def test_chunks_double_up_to_the_cap(self):
@@ -510,7 +536,7 @@ class TestExecutor:
         # A child interpreter prints its two workers' pids and SIGKILLs
         # itself in its own first chunk of a long point. A worker that kept
         # a read end of its own or an earlier rank's pipe would block in
-        # send_bytes forever once its pipe filled, orphaned.
+        # send forever once its pipe filled, orphaned.
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import multiprocessing, os, signal\n"
@@ -927,7 +953,7 @@ def test_a_point_runs_in_constant_memory(workers):
 def _settle(sim):
     """Wait for sim's pending draw, if any, and drop it."""
     if sim.pending is not None:
-        sim.done.acquire()
+        sim.pending[4].result()
         sim.pending = None
 
 
@@ -954,14 +980,14 @@ def _start_helper(sim):
     """Start sim's helper as a campaign does, by handing run_batches a next
     chunk to draw, and wait for that draw."""
     sim.run_batches(0, range(0, 1), range(1, 2))
-    assert sim.helper.is_alive()
+    assert any(t.is_alive() for t in threading.enumerate() if t.name.startswith("campaign draw"))
     _settle(sim)
 
 
 def _submit(sim, point, chunk, slot):
     """Start the draw of point's chunk into draw slot `slot` on sim's helper, as run_batches does."""
-    sim.pending = (point, list(enumerate(chunk)), slot, chunk)
-    sim.go.release()
+    todo = list(enumerate(chunk))
+    sim.pending = (point, todo, slot, chunk, sim.helper.submit(sim._draw, point, todo, slot))
 
 
 @pytest.mark.parametrize("decoder", ["grand", "orbgrand"])
@@ -1040,7 +1066,7 @@ def test_no_draw_thread_outlives_a_campaign(monkeypatch, workers):
     draw = campaign._Simulation._draw
 
     def failing_draw(self, *args):
-        if threading.current_thread().name == "campaign draw":
+        if threading.current_thread().name.startswith("campaign draw"):
             raise ValueError("no draw on the helper")
         return draw(self, *args)
 
@@ -1059,7 +1085,7 @@ def test_no_draw_thread_runs_when_workers_fork(monkeypatch):
     start = multiprocessing.process.BaseProcess.start
 
     def checked(proc):
-        alive.append([t.name for t in threading.enumerate() if t.name == "campaign draw"])
+        alive.append([t.name for t in threading.enumerate() if t.name.startswith("campaign draw")])
         start(proc)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", checked)
@@ -1131,15 +1157,49 @@ def test_no_draw_thread_for_run_block_or_a_one_batch_point(monkeypatch):
     # The helper starts at the first next chunk a process is handed, which
     # run_block and a point of one batch never hand it.
     started = []
-    help_ = campaign._Simulation._help
+    pool = campaign.ThreadPoolExecutor
 
-    def counting(self):
-        started.append(threading.current_thread().name)
-        help_(self)
+    def counting(*args):
+        started.append(args)
+        return pool(*args)
 
-    monkeypatch.setattr(campaign._Simulation, "_help", counting)
+    monkeypatch.setattr(campaign, "ThreadPoolExecutor", counting)
     run_block(CampaignConfig(**FAST), 0, 137)
     run_campaign(CampaignConfig(**dict(FAST, max_blocks=TRIAL_BATCH)))
     assert started == []
     run_campaign(CampaignConfig(**dict(FAST, max_blocks=TRIAL_BATCH + 1)))
-    assert started == ["campaign draw"]
+    assert started == [(1, "campaign draw")]
+
+
+def test_a_dropped_simulation_leaves_no_thread():
+    # A simulation dropped without stop_helper once kept its helper blocked
+    # for the life of the process, and through it the simulation and its
+    # draw slots. The helper's thread is not a daemon, so Python joins it
+    # at exit: a child that leaves one live must still exit, and promptly.
+    before = threading.active_count()
+    sim = campaign._Simulation(CampaignConfig(**FAST))
+    sim.run_batches(0, range(0, 1), range(1, 2))
+    assert threading.active_count() == before + 1
+    dropped = weakref.ref(sim)
+    del sim
+    gc.collect()
+    deadline = time.monotonic() + 2
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == before
+    assert dropped() is None
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import threading\n"
+        "from aesfec import campaign\n"
+        "sim = campaign._Simulation(campaign.CampaignConfig(ebn0_grid_db=(8.0,)))\n"
+        "sim.run_batches(0, range(0, 1), range(1, 2))\n"
+        "print(sum(t.name.startswith('campaign draw') for t in threading.enumerate()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - t0 < 20
+    assert proc.stdout == "1\n"

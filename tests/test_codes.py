@@ -1,6 +1,8 @@
 """Encoders and membership oracles for both code families."""
 
+import pickle
 import time
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -375,11 +377,17 @@ def test_campaign_builds_tables_once_per_campaign(monkeypatch):
         return build(h, nbytes)
 
     class Conn:
+        # Each message, pickled and read back as the pipe carries it, must be
+        # the point and the records of the run_batches call just made.
         def __init__(self):
             self.sent = []
 
-        def send_bytes(self, buf):
-            self.sent.append(campaign._HEADER.unpack_from(buf))
+        def send(self, msg):
+            p, rec = pickle.loads(ForkingPickler.dumps(msg))
+            assert len(calls_made) == len(self.sent) + 1
+            point, chunk, want = calls_made[-1]
+            assert p == point and rec.dtype == want.dtype and rec.tobytes() == want.tobytes()
+            self.sent.append((p, chunk.start))
 
         def close(self):
             pass
@@ -387,12 +395,19 @@ def test_campaign_builds_tables_once_per_campaign(monkeypatch):
     monkeypatch.setattr(codes, "_syndrome_tables", counting)
     config = campaign.CampaignConfig(code_kind="rlc", ebn0_grid_db=(7.0, 8.0), max_blocks=3 * campaign.TRIAL_BATCH)
     sim = campaign._Simulation(config)
+    run_batches, calls_made = sim.run_batches, []
+
+    def recording(point, batches, later=()):
+        calls_made.append((point, batches, run_batches(point, batches, later)))
+        return calls_made[-1][2]
+
+    sim.run_batches = recording
     stop = [3, 3]  # no point stops early
     # Both workers of a two-worker campaign, run here one after the other
     # on the one state they would inherit: chunks [0] and [2] are rank 0's,
     # [1] rank 1's.
     for rank, firsts in ((0, [0, 2]), (1, [1])):
-        conn = Conn()
+        conn, calls_made[:] = Conn(), []
         campaign._worker(sim, rank, 2, stop, conn, ())
         assert conn.sent == [(p, b) for p in (0, 1) for b in firsts]
     assert calls == [16]
