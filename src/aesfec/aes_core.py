@@ -16,6 +16,7 @@ diffusion, and a wrong or absent key simply yields garbage plaintext.
 from __future__ import annotations
 
 import string
+from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -99,14 +100,12 @@ def key_from_hex(s):
     return bytes.fromhex(s)
 
 
+@dataclass(frozen=True, eq=False)
 class KeySchedule:
     """Expanded AES-128 key: 11 round keys of 16 bytes each."""
 
-    __slots__ = ("key", "round_keys")
-
-    def __init__(self, key, round_keys):
-        self.key = key
-        self.round_keys = round_keys
+    key: bytes
+    round_keys: np.ndarray
 
     def __repr__(self):
         return f"KeySchedule(key={self.key.hex()})"
@@ -207,10 +206,6 @@ class Aes128:
         )
         if not ok:
             raise RuntimeError("OpenSSL disagrees with reference AES")
-
-    @property
-    def key(self):
-        return self.schedule.key
 
     @staticmethod
     def _openssl(ctx, blocks, out=None):

@@ -9,6 +9,8 @@ bits of the last byte are zero.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
@@ -18,21 +20,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class BitVec:
     """Immutable bit vector of fixed length backed by a Python int."""
 
-    __slots__ = ("_value", "_length")
+    _value: int
+    _length: int
 
-    def __init__(self, value, length):
-        if length < 0:
-            raise ValueError(f"length must be nonnegative, got {length}")
-        if value < 0 or value >> length:
-            raise ValueError(f"value {value:#x} does not fit in {length} bits")
-        object.__setattr__(self, "_value", value)
-        object.__setattr__(self, "_length", length)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BitVec is immutable")
+    def __post_init__(self):
+        if self._length < 0:
+            raise ValueError(f"length must be nonnegative, got {self._length}")
+        if self._value < 0 or self._value >> self._length:
+            raise ValueError(f"value {self._value:#x} does not fit in {self._length} bits")
 
     # construction
 
@@ -92,23 +91,12 @@ class BitVec:
         return (self._value << (8 * nbytes - self._length)).to_bytes(nbytes, "big")
 
     def to_array(self):
-        if self._length == 0:
-            return np.zeros(0, dtype=np.uint8)
-        packed = np.frombuffer(self.to_bytes(), dtype=np.uint8)
-        return np.unpackbits(packed)[: self._length]
+        return np.unpackbits(np.frombuffer(self.to_bytes(), dtype=np.uint8), count=self._length)
 
     # protocol
 
     def __len__(self):
         return self._length
-
-    def __eq__(self, other):
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        return self._value == other._value and self._length == other._length
-
-    def __hash__(self):
-        return hash((self._value, self._length))
 
     def __repr__(self):
         return f"BitVec(0x{self.to_hex()}, len={self._length})"

@@ -126,15 +126,6 @@ class CampaignConfig:
     def params(self):
         return CodeParams(self.n, self.k)
 
-    def to_dict(self):
-        d = asdict(self)
-        d["ebn0_grid_db"] = list(self.ebn0_grid_db)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class BlockRecord:
@@ -169,23 +160,16 @@ class PointResult:
     mean_queries: float
     p99_queries: float
 
-    def to_dict(self):
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-
-def wilson_interval(successes, trials, z=Z95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, trials):
+    """Wilson score interval for a binomial proportion, at 95%."""
     if trials <= 0:
         return 0.0, 1.0
     p = successes / trials
-    zz = z * z
+    zz = Z95 * Z95
     denom = 1.0 + zz / trials
     center = (p + zz / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials * trials)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -315,11 +299,9 @@ def _point_result(config, point_index, chunks):
         block_errors += errors
         total_bit_errors += int(rec["bit_errors"].sum())
         abandoned += int(np.count_nonzero(rec["abandoned"]))
-        # Each distinct count ends at its last index in the sorted queries.
-        queries = np.sort(rec["queries"])
-        last = np.flatnonzero(queries[1:] != queries[:-1]).tolist() + [len(queries) - 1]
-        for value, end, previous in zip(queries[last].tolist(), last, [-1, *last]):
-            hist[value] = hist.get(value, 0) + end - previous
+        values, counts = np.unique(rec["queries"], return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            hist[value] = hist.get(value, 0) + count
         if stop:
             break
 
@@ -487,7 +469,7 @@ def _p99(hist):
     floor(h) and the next index (the last, at most) and g = h - floor(h),
     it is a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5. The same float
     operations give the same bits. Index i holds the first value whose
-    cumulative count exceeds i; np.percentile's np.unique imports numpy.ma.
+    cumulative count exceeds i; np.percentile imports numpy.ma.
     """
     values = sorted(hist)
     cumulative = list(itertools.accumulate(hist[v] for v in values))
@@ -518,8 +500,8 @@ class CampaignResult:
 
     def data_dict(self):
         return {
-            "config": self.config.to_dict(),
-            "points": [p.to_dict() for p in self.points],
+            "config": asdict(self.config),
+            "points": [asdict(p) for p in self.points],
         }
 
     def canonical_json(self):
@@ -544,8 +526,8 @@ class CampaignResult:
         value, in order, and point times for none or all of them."""
         doc = json.loads(text)
         meta = doc.get("meta", {})
-        config = CampaignConfig.from_dict(doc["config"])
-        points = [PointResult.from_dict(p) for p in doc["points"]]
+        config = CampaignConfig(**doc["config"])
+        points = [PointResult(**p) for p in doc["points"]]
         if [p.ebn0_db for p in points] != list(config.ebn0_grid_db):
             raise ValueError(f"points at {[p.ebn0_db for p in points]} dB do not match the grid {config.ebn0_grid_db}")
         times = [p["wall_time_s"] for p in meta.get("points", [])]

@@ -164,9 +164,8 @@ def plot_data_csv(sources):
         comments.append(f"# source={path} code={cfg.code_kind} decoder={cfg.decoder_kind} "
                         f"n={cfg.n} k={cfg.k} seed={cfg.master_seed} max_queries={cfg.max_queries}")
         for p in res.points:
-            d = p.to_dict()
             row = [cfg.code_kind, cfg.decoder_kind, cfg.n, cfg.k, cfg.master_seed]
-            row += [d[f] for f in CampaignResult.CSV_FIELDS]
+            row += [getattr(p, f) for f in CampaignResult.CSV_FIELDS]
             lines.append(",".join("" if v is None else str(v) for v in row))
     return "\n".join(comments + [",".join(header)] + lines) + "\n"
 

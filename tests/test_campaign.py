@@ -14,6 +14,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
@@ -62,7 +63,7 @@ class TestConfig:
     def test_defaults_round_trip(self):
         cfg = CampaignConfig()
         assert cfg.params.rate == 116 / 128
-        again = CampaignConfig.from_dict(cfg.to_dict())
+        again = CampaignConfig(**asdict(cfg))
         assert again == cfg
 
     def test_grid_coerced_to_floats(self):
@@ -233,7 +234,7 @@ class TestDeterminism:
         )
         r0 = run_point(cfg, 0)
         r1 = run_point(cfg, 1)
-        assert r0.to_dict() != r1.to_dict()
+        assert asdict(r0) != asdict(r1)
 
 
 def _fail_at_batch(monkeypatch, batch, fail):
@@ -626,7 +627,7 @@ class TestSerialization:
 
     def test_point_result_round_trip(self, result):
         p = result.points[0]
-        back = PointResult.from_dict(p.to_dict())
+        back = PointResult(**asdict(p))
         assert back == p
 
     def test_ber_at_most_bler(self, result):
@@ -892,7 +893,7 @@ def test_point_result_folds_exactly_as_concatenating(case):
     read = []
     got, batches = campaign._point_result(config, 0, (read.append(c) or c for c in chunks))
     want, want_batches = _reference_point_result(config, chunks)
-    assert [(f, type(v), v) for f, v in got.to_dict().items()] == [(f, type(v), v) for f, v in want.to_dict().items()]
+    assert [(f, type(v), v) for f, v in asdict(got).items()] == [(f, type(v), v) for f, v in asdict(want).items()]
     assert batches == want_batches
     # No chunk is read past the one that holds the stopping trial.
     assert len(read) == (np.searchsorted(np.cumsum([len(c) for c in chunks]), want.blocks) + 1)
@@ -1137,13 +1138,13 @@ def test_max_blocks_does_not_change_the_cost_of_an_early_stop():
     # suite with it.
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import json, resource\n"
+        "import dataclasses, json, resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
         "from aesfec.campaign import CampaignConfig, run_campaign\n"
         "for workers in (1, 2):\n"
         "    for max_blocks in (10**6, 2**62):\n"
         "        cfg = CampaignConfig(code_kind='rlc', ebn0_grid_db=(3.0,), min_block_errors=10, max_blocks=max_blocks)\n"
-        "        print(json.dumps([p.to_dict() for p in run_campaign(cfg, workers=workers).points]))\n"
+        "        print(json.dumps([dataclasses.asdict(p) for p in run_campaign(cfg, workers=workers).points]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)

@@ -1,6 +1,8 @@
 """Noise-guessing decoders: pattern orders, query accounting, budgets."""
 
+import copy
 import itertools
+import pickle
 from math import comb, gcd
 
 import numpy as np
@@ -650,3 +652,25 @@ def test_guess_rejects_bad_input():
         with pytest.raises(ValueError, match="max_queries must be an integer"):
             orbgrand_decode(SoftWord(samples=np.ones(PARAMS.n), llrs=np.ones(PARAMS.n), sigma=1.0), oracle, max_queries=bad)
     assert guess(searching, oracle, np.int64(5))[2].tolist() == [5, 5, 5]
+
+
+def test_value_types_survive_pickle_and_copy():
+    # A BitVec, and so every DecodeOutcome holding one, must cross a
+    # process boundary and copy like any frozen dataclass.
+    cipher = Aes128(KEY)
+    oracle = AesPadOracle(PARAMS, cipher)
+    cw = aes_encode(BitVec.random(PARAMS.k, np.random.default_rng(23)), PARAMS, cipher)
+    y = modulate(cw)
+    y[[40, 90]] *= -0.01
+    word = SoftWord(samples=y, llrs=2.0 * y / 0.3**2, sigma=0.3)
+    found = [grand_decode(flipped(cw, 100), oracle), orbgrand_decode(word, oracle)]
+    abandoned = [grand_decode(flipped(cw, 100), oracle, max_queries=50), orbgrand_decode(word, oracle, max_queries=3)]
+    assert [out.abandoned for out in found + abandoned] == [False, False, True, True]
+    values = [BitVec(0, 0), BitVec.random(128, np.random.default_rng(5)), *found, *abandoned]
+    schedule = cipher.schedule
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for v in values:
+            for back in (pickle.loads(pickle.dumps(v, protocol)), copy.copy(v), copy.deepcopy(v)):
+                assert type(back) is type(v) and back == v and hash(back) == hash(v)
+        for back in (pickle.loads(pickle.dumps(schedule, protocol)), copy.copy(schedule), copy.deepcopy(schedule)):
+            assert back.key == schedule.key and np.array_equal(back.round_keys, schedule.round_keys)
