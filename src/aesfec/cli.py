@@ -42,23 +42,11 @@ def parse_grid(text):
             values = tuple(float(p) for p in text.split(","))
         if not 0 < len(values) <= MAX_GRID_POINTS:
             raise ValueError(f"a grid holds 1 to {MAX_GRID_POINTS} points")
-        if any(not math.isfinite(v) for v in values):
-            raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("grid values must be strictly increasing")
         return values
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-
-
-class _WorkerCount(argparse.Action):
-    """Stores --workers once it is a count run_campaign takes."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        try:
-            setattr(namespace, self.dest, integer("workers", value, 1, MAX_WORKERS + 1))
-        except ValueError as e:
-            raise argparse.ArgumentError(self, str(e)) from None
 
 
 def build_parser():
@@ -93,7 +81,6 @@ def build_parser():
     run.add_argument(
         "--workers",
         type=int,
-        action=_WorkerCount,
         default=1,
         help=f"processes per campaign, at most {MAX_WORKERS}: 1 runs in this process, W > 1 forks W - 1 workers "
         "beside it, and each process draws its next chunk's messages and noise on one thread of its own; a point's "
@@ -110,28 +97,30 @@ def build_parser():
     return parser
 
 
+def _fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args):
+    # Check every value and make the output directory before any output, so
+    # a campaign never finishes only to find it cannot write its results.
     try:
         config = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig)})
+        integer("workers", args.workers, 1, MAX_WORKERS + 1)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _fail(e)
     out = args.out or Path(f"campaign_{config.code_kind}_{config.decoder_kind}.json")
     csv_path = out.with_suffix(".csv")
     if csv_path == out:
-        print(f"error: --out {out} is also where the CSV goes; give the JSON path another suffix", file=sys.stderr)
-        return 2
+        return _fail(f"--out {out} is also where the CSV goes; give the JSON path another suffix")
     for path in (out, csv_path):
         if path.is_dir():
-            print(f"error: --out {out}: {path} is a directory, not a file the results can be written to", file=sys.stderr)
-            return 2
-    # Make the output directory before the first block, so a campaign never
-    # finishes only to find it cannot write its results.
+            return _fail(f"--out {out}: {path} is a directory, not a file the results can be written to")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        print(f"error: cannot create output directory: {e}", file=sys.stderr)
-        return 2
+        return _fail(f"cannot create output directory: {e}")
     if not args.quiet:
         print(f"running {config.code_kind}/{config.decoder_kind} n={config.n} k={config.k} "
               f"grid={list(config.ebn0_grid_db)} seed={config.master_seed}")
@@ -170,11 +159,6 @@ def plot_data_csv(sources):
     return "\n".join(comments + [",".join(header)] + lines) + "\n"
 
 
-def _input_error(path, reason):
-    print(f"error: {path}: {reason}", file=sys.stderr)
-    return 2
-
-
 def _cmd_plot_data(args):
     # Every input is read and checked before the CSV is written.
     sources = []
@@ -182,15 +166,15 @@ def _cmd_plot_data(args):
         try:
             sources.append((path, CampaignResult.from_json(path.read_text())))
         except OSError as e:
-            return _input_error(path, e.strerror or e)
+            return _fail(f"{path}: {e.strerror or e}")
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            return _input_error(path, f"not a JSON file ({e})")
+            return _fail(f"{path}: not a JSON file ({e})")
         except (AttributeError, KeyError, TypeError, ValueError) as e:
-            return _input_error(path, f"not a campaign result ({type(e).__name__}: {e})")
+            return _fail(f"{path}: not a campaign result ({type(e).__name__}: {e})")
     try:
         args.out.write_text(plot_data_csv(sources))
     except OSError as e:
-        return _input_error(args.out, e.strerror or e)
+        return _fail(f"{args.out}: {e.strerror or e}")
     rows = sum(len(res.points) for _, res in sources)
     print(f"wrote {args.out} ({rows} rows from {len(sources)} campaigns)")
     return 0

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aes_core import Aes128, BLOCK_BITS
+from .aes_core import BLOCK_BITS
 from .bitblock import BitVec, concat
 
 __all__ = [
@@ -193,8 +193,6 @@ class AesPadOracle(MembershipOracle):
         if params.n != BLOCK_BITS:
             raise ValueError(f"AES code needs n = {BLOCK_BITS}, got n = {params.n}")
         super().__init__(params)
-        if isinstance(cipher, (bytes, str)):
-            cipher = Aes128(cipher)
         self.cipher = cipher
         # The pad is positions k..127, so it touches the lanes from k // 64 on.
         self._pad_lanes = slice(params.k // 64, 2)

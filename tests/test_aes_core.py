@@ -89,6 +89,34 @@ def test_cipher_object_accepts_hex():
     assert c.decrypt_batch(np.frombuffer(KAT_CT, dtype=np.uint8)[None]).tobytes() == KAT_PT
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda c: expand_key(bytes(15)), "16 bytes, got 15"),
+        (lambda c: c.encrypt_batch(np.zeros((2, 15), dtype=np.uint8)), r"\(B, 16\) block batch, got shape \(2, 15\)"),
+        (lambda c: c.decrypt_batch(np.zeros(16, dtype=np.uint8)), r"\(B, 16\) block batch, got shape \(16,\)"),
+        (lambda c: c.encrypt(BitVec.zeros(127)), "128-bit block, got 127"),
+    ],
+    ids=["short-key", "narrow-batch", "one-dimensional-batch", "short-block"],
+)
+def test_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(Aes128(KAT_KEY))
+
+
+def test_construction_refuses_an_openssl_that_disagrees_with_the_reference(monkeypatch):
+    openssl = Aes128._openssl
+
+    def flipping(ctx, blocks, out=None):
+        got = openssl(ctx, blocks, out)
+        got[-1, -1] ^= 1
+        return got
+
+    monkeypatch.setattr(Aes128, "_openssl", staticmethod(flipping))
+    with pytest.raises(RuntimeError, match="OpenSSL disagrees with reference AES"):
+        Aes128(KAT_KEY)
+
+
 def test_single_byte_batches_and_empty():
     c = Aes128(KAT_KEY)
     out = c.encrypt_batch(np.zeros((0, 16), dtype=np.uint8))

@@ -48,6 +48,32 @@ def test_immutability_and_hash():
     assert v != BitVec.from_bits([1, 0, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BitVec(0, -1), "length must be nonnegative, got -1"),
+        (lambda: BitVec(-1, 8), "does not fit in 8 bits"),
+        (lambda: BitVec(0x100, 8), "value 0x100 does not fit in 8 bits"),
+        (lambda: BitVec.from_bits([1, 2]), "bits must be 0 or 1, got 2"),
+        (lambda: BitVec.from_bytes(b"\x00", 12), "expected 2 bytes for 12 bits, got 1"),
+        (lambda: BitVec.from_bytes(b"\x00\x01", 12), "nonzero trailing pad bits"),
+        (lambda: BitVec.from_array(np.zeros((2, 4), dtype=np.uint8)), r"expected 1-D array, got shape \(2, 4\)"),
+        (lambda: split(BitVec.zeros(4), 5), "split point 5 out of range for length 4"),
+        (lambda: split(BitVec.zeros(4), -1), "split point -1 out of range for length 4"),
+    ],
+)
+def test_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_empty_random_message_leaves_the_generator_alone():
+    # rng.bytes(0) would still advance the generator.
+    rng = np.random.default_rng(5)
+    assert BitVec.random(0, rng) == BitVec(0, 0)
+    assert rng.bytes(8) == np.random.default_rng(5).bytes(8)
+
+
 def test_zero_padding_and_random_message():
     pad = BitVec.zeros(12)
     assert len(pad) == 12 and pad.to_int() == 0

@@ -1,5 +1,6 @@
 """Monte Carlo campaign engine: addressing, stopping, serialization."""
 
+import errno
 import gc
 import hashlib
 import json
@@ -136,6 +137,7 @@ class TestWilson:
         for s, n in [(0, 10), (3, 7), (10, 10), (250, 1000)]:
             lo, hi = wilson_interval(s, n)
             assert 0.0 <= lo <= s / n <= hi <= 1.0
+        assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
 class TestStopping:
@@ -332,6 +334,24 @@ class TestExecutor:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
         assert run_campaign(cfg, workers=workers).canonical_json() == want
         assert started == [f"campaign worker {rank}" for rank in range(1, workers)]
+        assert multiprocessing.active_children() == []
+
+    def test_a_fork_that_fails_part_way_reaps_the_workers_already_started(self, monkeypatch):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def second_fork_fails(proc):
+            if proc.name == "campaign worker 2":
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            start(proc)
+            started.append(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", second_fork_fails)
+        with pytest.raises(OSError) as info:
+            run_campaign(CampaignConfig(**FAST), workers=3)
+        assert info.value.errno == errno.EAGAIN
+        assert [proc.name for proc in started] == ["campaign worker 1"]
+        assert started[0].exitcode is not None
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [2, 3])

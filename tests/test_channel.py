@@ -83,6 +83,9 @@ def test_add_awgn_deterministic_and_shaped():
     assert np.array_equal(w1.samples, w2.samples)
     assert w1.sigma == 0.3 and len(w1) == 64
     assert np.allclose(w1.llrs, 2.0 * w1.samples / 0.09)
+    for sigma in (0.0, -0.3):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            add_awgn(x, sigma, np.random.default_rng(42))
 
 
 @pytest.mark.parametrize("db", [4.0, 8.0])

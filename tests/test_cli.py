@@ -29,7 +29,7 @@ class TestParseGrid:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "8:0.5:6", "6:0:8", "6:-1:8", "7,6", "5,5", "abc", "nan", "1:inf:2", "0:1:inf", "-inf:1:0", "0:1e-5:100",
+        ["", "1:2", "8:0.5:6", "6:0:8", "6:-1:8", "7,6", "5,5", "abc", "1:inf:2", "0:1:inf", "-inf:1:0", "0:1e-5:100",
          "0:1:1e300", "-1e308:1e-300:1e308", ",".join(map(str, range(1001)))],
     )
     def test_rejects_malformed(self, bad):
@@ -171,7 +171,7 @@ def test_run_rejects_key_with_spaces_before_output(tmp_path):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("ebn0", ["3090", "-3240", "3080", "-3100"])
+@pytest.mark.parametrize("ebn0", ["3090", "-3240", "3080", "-3100", "nan", "inf", "-inf"])
 def test_run_rejects_ebn0_without_a_sigma_before_output(tmp_path, ebn0):
     out = tmp_path / "out" / "x.json"
     src = Path(__file__).resolve().parent.parent / "src"
@@ -193,15 +193,23 @@ def test_run_rejects_ebn0_without_a_sigma_before_output(tmp_path, ebn0):
     [
         ("65", "workers must be >= 1 and <= 64, got 65"),
         ("0", "workers must be >= 1 and <= 64, got 0"),
-        ("two", "invalid int value: 'two'"),
     ],
 )
 def test_run_rejects_a_worker_count_outside_1_to_64_before_output(tmp_path, capsys, workers, reason):
     out = tmp_path / "out" / "x.json"
+    assert main(["run", "--ebn0", "8.0", "--workers", workers, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+    assert not out.parent.exists()
+
+
+def test_run_rejects_a_worker_count_that_is_not_an_integer(tmp_path, capsys):
+    out = tmp_path / "out" / "x.json"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--ebn0", "8.0", "--workers", workers, "--out", str(out)])
+        main(["run", "--ebn0", "8.0", "--workers", "two", "--out", str(out)])
     assert exc.value.code == 2
-    assert f"argument --workers: {reason}" in capsys.readouterr().err
+    assert "argument --workers: invalid int value: 'two'" in capsys.readouterr().err
     assert not out.parent.exists()
 
 

@@ -13,6 +13,7 @@ from aesfec.bitblock import BitVec, concat, split
 from aesfec.codes import (
     AesPadOracle,
     CodeParams,
+    RlcCode,
     RlcOracle,
     aes_encode,
     message_bit_mask,
@@ -124,15 +125,13 @@ class TestAesCode:
         padded = concat(m, BitVec.zeros(12))
         assert bytes(decoded[3]) == padded.to_bytes()
 
-    def test_oracle_key_forms(self):
-        by_key = AesPadOracle(PARAMS, "000102030405060708090a0b0c0d0e0f")
-        rng = np.random.default_rng(7)
-        m = BitVec.random(116, rng)
-        assert decoded_message(by_key, aes_encode(m, PARAMS, self.cipher)) == m
-
     def test_requires_full_block_length(self):
         with pytest.raises(ValueError):
             AesPadOracle(CodeParams(n=64, k=52), self.cipher)
+        with pytest.raises(ValueError, match="AES code needs n = 128, got n = 64"):
+            aes_encode(BitVec.zeros(52), CodeParams(n=64, k=52), self.cipher)
+        with pytest.raises(ValueError, match="expected 116-bit message, got 115"):
+            aes_encode(BitVec.zeros(115), PARAMS, self.cipher)
 
     def test_successive_results_do_not_share_memory(self):
         words = np.random.default_rng(8).integers(0, 256, size=(32, 16), dtype=np.uint8)
@@ -349,6 +348,10 @@ def test_rlc_images_are_the_linear_syndrome_map(geometry, seed, batch, flip_rate
 
 def test_rlc_rejects_misshapen_inputs():
     code = rlc_generate(PARAMS, seed=1)
+    with pytest.raises(ValueError, match=r"P must be \(116, 12\), got \(12, 116\)"):
+        RlcCode(PARAMS, code.P.T)
+    with pytest.raises(ValueError, match="P must be binary"):
+        RlcCode(PARAMS, 2 * code.P)
     with pytest.raises(ValueError):
         code.encode_bits(np.zeros((4, 115), np.uint8))
     with pytest.raises(ValueError):

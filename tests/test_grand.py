@@ -67,6 +67,12 @@ def test_logistic_order_matches_brute_force(n):
     assert list(logistic_order_patterns(n)) == brute_logistic(n)
 
 
+@pytest.mark.parametrize("patterns", [hamming_order_patterns, logistic_order_patterns])
+def test_pattern_orders_refuse_a_negative_length(patterns):
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        next(patterns(-1))
+
+
 def test_logistic_order_is_lazy():
     gen = logistic_order_patterns(128)
     head = [next(gen) for _ in range(4)]
@@ -642,6 +648,13 @@ def test_guess_rejects_bad_input():
             guess(searching, oracle, 10, rel)
     with pytest.raises(ValueError, match="max_queries"):
         grand_decode(BitVec(0, PARAMS.n), oracle, max_queries=0)
+    short = np.ones(PARAMS.n - 1)
+    with pytest.raises(ValueError, match="expected 128-bit word, got 127"):
+        grand_decode(BitVec(0, PARAMS.n - 1), oracle)
+    with pytest.raises(ValueError, match="expected 128-bit word, got 127"):
+        orbgrand_decode(SoftWord(samples=short, llrs=short, sigma=1.0), oracle)
+    with pytest.raises(TypeError, match="needs a SoftWord"):
+        orbgrand_decode(BitVec(0, PARAMS.n), oracle)
     # A float budget is refused before any search, not used as a bound and
     # then as an index into the pattern store.
     for bad in (1e3, 10.0, np.float64(50.0)):
