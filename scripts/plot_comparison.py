@@ -42,7 +42,7 @@ def main():
     fig, axes = plt.subplots(1, len(metrics), figsize=(6 * len(metrics), 4.5),
                              squeeze=False)
     for path in args.inputs:
-        res = CampaignResult.load(path)
+        res = CampaignResult.from_json(path.read_text())
         key = (res.config.code_kind, res.config.decoder_kind)
         style = STYLES.get(key, {})
         for ax, metric in zip(axes[0], metrics):

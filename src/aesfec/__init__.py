@@ -11,7 +11,7 @@ campaign module measures BER/BLER over a BPSK AWGN channel.
 from .bitblock import BitVec, concat, split
 from .aes_core import Aes128, DEFAULT_KEY_HEX, KeySchedule, expand_key, key_from_hex
 from .codes import AesPadOracle, CodeParams, MembershipOracle, RlcCode, RlcOracle, aes_encode, rlc_generate
-from .channel import ChannelPoint, SoftWord, add_awgn, hard_decision, modulate, sigma_from_ebn0
+from .channel import SoftWord, add_awgn, hard_decision, modulate, sigma_from_ebn0
 from .grand import DecodeOutcome, grand_decode, hamming_order_patterns, logistic_order_patterns, orbgrand_decode
 from .campaign import CampaignConfig, CampaignResult, PointResult, run_block, run_campaign, run_point
 

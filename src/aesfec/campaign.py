@@ -40,6 +40,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -47,7 +48,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .aes_core import DEFAULT_KEY_HEX, Aes128, key_from_hex
-from .channel import ChannelPoint, hard_bits, llr_from_samples, sigma_from_ebn0
+from .channel import hard_bits, llr_from_samples, noise_entropy_bits, sigma_from_ebn0
 from .codes import AesPadOracle, CodeParams, RlcOracle, integer, message_bit_mask, rlc_generate, scratch
 from .grand import DEFAULT_MAX_QUERIES, guess
 
@@ -305,14 +306,14 @@ def _point_result(config, point_index, chunks):
         if stop:
             break
 
-    point = ChannelPoint(config.ebn0_grid_db[point_index], config.params.rate)
+    sigma = sigma_from_ebn0(config.ebn0_grid_db[point_index], config.params.rate)
     total_bits = blocks * config.k
     bler_lo, bler_hi = wilson_interval(block_errors, blocks)
     ber_lo, ber_hi = wilson_interval(total_bit_errors, total_bits)
     return PointResult(
         ebn0_db=config.ebn0_grid_db[point_index],
-        sigma=point.sigma,
-        noise_entropy_bits=point.noise_entropy_bits,
+        sigma=sigma,
+        noise_entropy_bits=noise_entropy_bits(sigma),
         blocks=blocks,
         block_errors=block_errors,
         bit_errors=total_bit_errors,
@@ -364,7 +365,9 @@ def _worker(sim, rank, workers, stop, conn, inherited):
     pickled (point, records) message, or (-1, (exception, traceback)) if it
     fails, blocking while the pipe is full. It first closes the pipe read
     ends it inherited (its own and earlier ranks'), so that a send fails,
-    and the worker exits, once the calling process is gone."""
+    and the worker exits, once the calling process is gone. Ctrl-C's SIGINT
+    reaches the whole process group; the calling process handles it alone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for read_end in inherited:
         read_end.close()
     try:
@@ -485,64 +488,39 @@ def _p99(hist):
 class CampaignResult:
     """All grid points of one campaign plus run metadata.
 
-    canonical_json covers config and points only; wall times, the worker
-    count and the software version live in a meta block so reruns compare
-    bit-identically. Files written before meta held the worker count and
-    per-point times load with workers None and no point times.
+    canonical_json covers config and points only; what a rerun may change
+    lives in meta, so reruns compare bit-identically. run_campaign fills it
+    with the software version, the worker count, the wall time and each
+    point's wall time and blocks/s; a file's meta is read as it stands.
     """
 
     config: CampaignConfig
     points: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-    version: str = ""
-    workers: int | None = None
-    point_wall_s: list = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
 
     def data_dict(self):
-        return {
-            "config": asdict(self.config),
-            "points": [asdict(p) for p in self.points],
-        }
+        return {"config": asdict(self.config), "points": [asdict(p) for p in self.points]}
 
     def canonical_json(self):
         return json.dumps(self.data_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_json(self):
-        doc = self.data_dict()
-        doc["meta"] = {
-            "wall_time_s": self.wall_time_s,
-            "version": self.version,
-            "workers": self.workers,
-            "points": [
-                {"wall_time_s": w, "blocks_per_s": p.blocks / w}
-                for p, w in zip(self.points, self.point_wall_s)
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps({**self.data_dict(), "meta": self.meta}, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text):
         """Parse a result; ValueError unless it holds one point per grid
-        value, in order, and point times for none or all of them."""
+        value, in order, and meta times none or all of them."""
         doc = json.loads(text)
         meta = doc.get("meta", {})
         config = CampaignConfig(**doc["config"])
         points = [PointResult(**p) for p in doc["points"]]
         if [p.ebn0_db for p in points] != list(config.ebn0_grid_db):
             raise ValueError(f"points at {[p.ebn0_db for p in points]} dB do not match the grid {config.ebn0_grid_db}")
-        times = [p["wall_time_s"] for p in meta.get("points", [])]
+        times = meta.get("points", [])
         if len(times) not in (0, len(points)):
             raise ValueError(f"meta holds times for {len(times)} of {len(points)} points")
-        return cls(config, points, meta.get("wall_time_s", 0.0), meta.get("version", ""), meta.get("workers"), times)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        return cls(config, points, meta)
 
     # PointResult's fields but the noise entropy, a function of ebn0_db and the rate.
     CSV_FIELDS = tuple(f.name for f in fields(PointResult) if f.name != "noise_entropy_bits")
@@ -557,18 +535,18 @@ def run_campaign(config, workers=1, progress=False):
     workers = integer("workers", workers, 1, MAX_WORKERS + 1)
     from . import __version__
 
-    t0 = time.perf_counter()
-    points, point_wall_s = [], []
+    t0 = t_point = time.perf_counter()
+    points, timed = [], []
     with contextlib.closing(_Executor(_Simulation(config), workers)) as runner:
-        t_point = t0
         for i in range(len(config.ebn0_grid_db)):
             res = runner.run_point(i)
             now = time.perf_counter()
             points.append(res)
-            point_wall_s.append(now - t_point)
+            timed.append({"wall_time_s": now - t_point, "blocks_per_s": res.blocks / (now - t_point)})
             t_point = now
             if progress:
                 print(f"  {res.ebn0_db:5.2f} dB: blocks={res.blocks} errors={res.block_errors} bler={res.bler:.3e} "
                       f"ber={res.ber:.3e} mean_queries={res.mean_queries:.1f} "
-                      f"blocks/s={res.blocks / point_wall_s[-1]:.0f}", flush=True)
-    return CampaignResult(config, points, time.perf_counter() - t0, __version__, workers, point_wall_s)
+                      f"blocks/s={timed[-1]['blocks_per_s']:.0f}", flush=True)
+    meta = {"version": __version__, "workers": workers, "wall_time_s": time.perf_counter() - t0, "points": timed}
+    return CampaignResult(config, points, meta)

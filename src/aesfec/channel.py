@@ -17,9 +17,9 @@ import numpy as np
 from .bitblock import BitVec
 
 __all__ = [
-    "ChannelPoint",
     "SoftWord",
     "sigma_from_ebn0",
+    "noise_entropy_bits",
     "modulate",
     "add_awgn",
     "awgn_samples",
@@ -42,21 +42,9 @@ def sigma_from_ebn0(ebn0_db, rate):
     return sigma
 
 
-@dataclass(frozen=True)
-class ChannelPoint:
-    """One operating point of the channel: Eb/N0 plus the code rate."""
-
-    ebn0_db: float
-    rate: float
-
-    @property
-    def sigma(self):
-        return sigma_from_ebn0(self.ebn0_db, self.rate)
-
-    @property
-    def noise_entropy_bits(self):
-        """Differential entropy of the Gaussian noise per channel use, in bits."""
-        return 0.5 * math.log2(2.0 * math.pi * math.e * self.sigma**2)
+def noise_entropy_bits(sigma):
+    """Differential entropy of N(0, sigma^2) noise per channel use, in bits."""
+    return 0.5 * math.log2(2.0 * math.pi * math.e * sigma**2)
 
 
 @dataclass(frozen=True)
@@ -84,8 +72,8 @@ def modulate(bits):
 def awgn_samples(x, sigma, rng):
     """x plus i.i.d. N(0, sigma^2) noise, any shape: the noise, scaled and
     shifted in place, the same products and sums as x + sigma * noise."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     y = rng.standard_normal(x.shape)
     y *= sigma

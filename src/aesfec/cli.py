@@ -125,10 +125,10 @@ def _cmd_run(args):
         print(f"running {config.code_kind}/{config.decoder_kind} n={config.n} k={config.k} "
               f"grid={list(config.ebn0_grid_db)} seed={config.master_seed}")
     result = run_campaign(config, workers=args.workers, progress=not args.quiet)
-    result.save(out)
+    out.write_text(result.to_json())
     csv_path.write_text(plot_data_csv([(out, result)]))
     if not args.quiet:
-        print(f"wrote {out} and {csv_path} ({result.wall_time_s:.1f} s)")
+        print(f"wrote {out} and {csv_path} ({result.meta['wall_time_s']:.1f} s)")
     _print_table(result)
     return 0
 
@@ -181,9 +181,12 @@ def _cmd_plot_data(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:  # Ctrl-C: one line, no traceback, the shell's 128 + SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from aesfec.campaign import (
     run_point,
     wilson_interval,
 )
-from aesfec.channel import awgn_samples, hard_bits, llr_from_samples, modulate, sigma_from_ebn0
+from aesfec.channel import awgn_samples, hard_bits, llr_from_samples, modulate, noise_entropy_bits, sigma_from_ebn0
 from aesfec.codes import AesPadOracle, RlcOracle, message_bit_mask, rlc_generate
 from aesfec.cli import plot_data_csv
 from aesfec.grand import guess
@@ -604,35 +604,35 @@ class TestSerialization:
         back = CampaignResult.from_json(result.to_json())
         assert back.config == result.config
         assert back.canonical_json() == result.canonical_json()
-        assert back.wall_time_s == result.wall_time_s
+        assert back.meta == result.meta
 
     def test_canonical_json_ignores_wall_time(self, result):
         back = CampaignResult.from_json(result.to_json())
-        back.wall_time_s = 123456.0
+        back.meta["wall_time_s"] = 123456.0
         assert back.canonical_json() == result.canonical_json()
 
     def test_meta_times_points_without_touching_canonical_json(self):
         cfg = CampaignConfig(**dict(FAST, ebn0_grid_db=(7.5, 8.0)))
         res = run_campaign(cfg, workers=2)
+        assert set(res.meta) == {"version", "workers", "wall_time_s", "points"}
+        assert res.meta["workers"] == 2
+        assert [set(m) for m in res.meta["points"]] == [{"wall_time_s", "blocks_per_s"}] * 2
+        for p, m in zip(res.points, res.meta["points"]):
+            assert m["blocks_per_s"] == p.blocks / m["wall_time_s"]
         doc = json.loads(res.to_json())
-        assert doc["meta"]["workers"] == 2
-        assert [set(p) for p in doc["meta"]["points"]] == [{"wall_time_s", "blocks_per_s"}] * 2
-        for p, m in zip(res.points, doc["meta"]["points"]):
-            assert m["blocks_per_s"] == pytest.approx(p.blocks / m["wall_time_s"])
         assert json.loads(res.canonical_json()) == {k: doc[k] for k in ("config", "points")}
-        back = CampaignResult.from_json(res.to_json())
-        assert (back.workers, back.point_wall_s) == (2, res.point_wall_s)
+        assert doc["meta"] == res.meta
+        assert CampaignResult.from_json(res.to_json()) == res
         # A file written before meta held the worker count and point times.
         doc["meta"] = {"wall_time_s": 1.5, "version": "0.1.0"}
         old = CampaignResult.from_json(json.dumps(doc))
         assert old.canonical_json() == res.canonical_json()
-        assert (old.wall_time_s, old.workers, old.point_wall_s) == (1.5, None, [])
+        assert old.meta == {"wall_time_s": 1.5, "version": "0.1.0"}
 
-    def test_save_load(self, result, tmp_path):
-        path = tmp_path / "r.json"
-        result.save(path)
-        back = CampaignResult.load(path)
-        assert back.canonical_json() == result.canonical_json()
+    def test_a_result_built_without_meta_writes_an_empty_one(self, result):
+        bare = CampaignResult(result.config, result.points)
+        assert json.loads(bare.to_json())["meta"] == {}
+        assert CampaignResult.from_json(bare.to_json()) == bare
 
     def test_csv_shape(self, result):
         lines = plot_data_csv([("r.json", result)]).strip().splitlines()
@@ -866,9 +866,9 @@ def _reference_point_result(config, chunks):
     block_errors, total_bit_errors = int(error.sum()), int(bit_errors.sum())
     bler_ci_low, bler_ci_high = wilson_interval(block_errors, blocks)
     ber_ci_low, ber_ci_high = wilson_interval(total_bit_errors, blocks * config.k)
-    point = campaign.ChannelPoint(config.ebn0_grid_db[0], config.params.rate)
+    sigma = sigma_from_ebn0(config.ebn0_grid_db[0], config.params.rate)
     return PointResult(
-        ebn0_db=config.ebn0_grid_db[0], sigma=point.sigma, noise_entropy_bits=point.noise_entropy_bits,
+        ebn0_db=config.ebn0_grid_db[0], sigma=sigma, noise_entropy_bits=noise_entropy_bits(sigma),
         blocks=blocks, block_errors=block_errors, bit_errors=total_bit_errors,
         abandoned_blocks=int(abandoned.sum()), bler=block_errors / blocks,
         bler_ci_low=bler_ci_low, bler_ci_high=bler_ci_high, ber=total_bit_errors / (blocks * config.k),

@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 
 from aesfec.bitblock import BitVec
 from aesfec.channel import (
-    ChannelPoint,
     add_awgn,
     awgn_samples,
     hard_bits,
     hard_decision,
     llr_from_samples,
     modulate,
+    noise_entropy_bits,
     sigma_from_ebn0,
 )
 
@@ -46,13 +46,11 @@ def test_sigma_validates_rate():
             sigma_from_ebn0(6.0, rate)
 
 
-def test_channel_point_properties():
-    pt = ChannelPoint(ebn0_db=8.0, rate=RATE)
-    assert pt.sigma == pytest.approx(sigma_oracle(8.0, RATE), rel=1e-12)
+def test_noise_entropy_matches_high_precision_formula():
     with mpmath.workdps(50):
         s = mpmath.mpf(sigma_oracle(8.0, RATE))
         h = float(mpmath.log(2 * mpmath.pi * mpmath.e * s**2, 2) / 2)
-    assert pt.noise_entropy_bits == pytest.approx(h, rel=1e-9)
+    assert noise_entropy_bits(sigma_from_ebn0(8.0, RATE)) == pytest.approx(h, rel=1e-9)
 
 
 def test_modulate_mapping():
@@ -86,6 +84,14 @@ def test_add_awgn_deterministic_and_shaped():
     for sigma in (0.0, -0.3):
         with pytest.raises(ValueError, match="sigma must be positive"):
             add_awgn(x, sigma, np.random.default_rng(42))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_awgn_refuses_a_sigma_that_is_not_finite(sigma):
+    x = modulate(np.zeros(8, dtype=np.uint8))
+    for channel in (add_awgn, awgn_samples):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            channel(x, sigma, np.random.default_rng(42))
 
 
 @pytest.mark.parametrize("db", [4.0, 8.0])

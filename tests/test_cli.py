@@ -1,11 +1,14 @@
 """Command-line interface: grid parsing, run outputs, data merging."""
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,6 +225,43 @@ def test_run_rejects_max_blocks_past_int64_before_output(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"error: max_blocks must be >= 1 and <= {2**63 - 1}, got {2**63}\n"
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_ctrl_c_ends_a_run_with_one_line(tmp_path, workers):
+    # Ctrl-C sends SIGINT to the whole foreground process group, forked
+    # workers included; the run is interrupted in its long 12 dB point.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "aesfec.cli", "run", "--code", "rlc", "--ebn0", "4,12", "--min-block-errors", "5",
+            "--max-blocks", "100000000", "--workers", workers]
+    # A child inherits an ignored SIGINT (a shell's `cmd &` ignores it), and
+    # Python then leaves it ignored; a terminal's child starts with the default.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    with proc:
+        try:
+            for line in proc.stdout:
+                if " dB: " in line:  # point 0's progress line
+                    break
+            # By now the forked workers wait in send on full pipes, where a
+            # SIGINT they did not ignore would raise at once.
+            time.sleep(1)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (130, "error: interrupted\n")
+            deadline = time.monotonic() + 5
+            with pytest.raises(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(proc.pid, 0)
+                    time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
 
 
 def test_run_rejects_a_bad_key_for_the_rlc_code_too(tmp_path):
