@@ -28,7 +28,8 @@ batch count, and each forked worker clips its next chunk to it. A process
 starts its helper, a one-thread executor, when first handed a next chunk
 to draw, after any fork (never for run_block or a one-batch point); its
 thread ends with the campaign, or with the _Simulation. The helper runs
-only _draw: it draws the process's next chunk while the current one decodes.
+only _draw: it draws the process's next chunk while the current one decodes,
+and the decoding thread draws too rather than wait for it (run_batches).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .aes_core import DEFAULT_KEY_HEX, Aes128, key_from_hex
-from .channel import hard_bits, llr_from_samples, noise_entropy_bits, sigma_from_ebn0
+from .channel import llr_from_samples, noise_entropy_bits, sigma_from_ebn0
 from .codes import AesPadOracle, CodeParams, RlcOracle, integer, message_bit_mask, rlc_generate, scratch
 from .grand import DEFAULT_MAX_QUERIES, guess
 
@@ -176,14 +177,15 @@ def wilson_interval(successes, trials):
 
 class _Simulation:
     """A campaign's working state, built once per process: the oracle over
-    its cipher or code, the message mask, each point's sigma, two draw
-    slots, each with room for a chunk's message bits and standard normals,
-    and the helper, a one-thread executor whose thread ends with it."""
+    its cipher or code, the message mask, each point's sigma and thresholds,
+    two draw slots, each with room for a chunk's message bits and standard
+    normals, and the helper, a one-thread executor whose thread ends with it."""
 
     def __init__(self, config):
         self.config = config
         params = config.params
         self.sigmas = [sigma_from_ebn0(x, params.rate) for x in config.ebn0_grid_db]
+        self.thresholds = [(_least_z(s, -1.0), _least_z(s, 1.0)) for s in self.sigmas]
         if config.code_kind == "aes":
             self.oracle = AesPadOracle(params, Aes128(config.aes_key_hex))
         else:
@@ -199,12 +201,13 @@ class _Simulation:
             self.helper.shutdown()
             self.helper = self.pending = None
 
-    def _draw(self, point, todo, slot):
+    def _draw(self, point, todo, slot, busy=None):
         """Draw grid point `point`'s batches into draw slot `slot`, the one
         place that names the generators: pop each (i, b) of `todo`, a list
-        both threads may pop, and draw batch b into rows from i * TRIAL_BATCH."""
+        both threads may pop, until it is empty or the future `busy`, if
+        given, is done, and draw batch b into rows from i * TRIAL_BATCH."""
         cfg = self.config
-        while todo:
+        while todo and not (busy is not None and busy.done()):
             try:
                 i, b = todo.pop()
             except IndexError:  # the other thread took the last
@@ -222,50 +225,61 @@ class _Simulation:
         covers them, this thread draws what the helper has not begun; else it
         is cut short and they are drawn into the other slot. The helper then
         starts drawing `later`, this process's next chunk of the point (the
-        first such draw starts the helper), and one guess call decodes these
-        batches' rows."""
+        first such draw starts the helper), and this thread draws batches of it
+        while the helper is mid-batch on these; one guess call decodes them."""
         cfg = self.config
-        n, k, sigma = cfg.n, cfg.k, self.sigmas[point]
+        n, k, sigma, (t0, t1) = cfg.n, cfg.k, self.sigmas[point], self.thresholds[point]
         rows = sum(min(TRIAL_BATCH, cfg.max_blocks - b * TRIAL_BATCH) for b in batches)
-        slot, todo, pending = 0, list(enumerate(batches)), self.pending
+        slot, todo, pending, self.pending = 0, list(enumerate(batches)), self.pending, None
         if pending is not None:
-            p, shared, slot, drawn, future = pending
+            p, shared, slot, drawn, busy = pending
             if p == point and list(drawn[: len(batches)]) == list(batches):
                 todo = shared
             else:
                 shared.clear()  # the helper stops after the batch it draws
                 slot = 1 - slot
         self._draw(point, todo, slot)
-        if pending is not None:
-            self.pending = None
-            future.result()  # no draw writes a slot from here; raises what the draw raised
         if later:
             if self.helper is None:  # first needed here, after any fork, which copies no thread
                 self.helper = ThreadPoolExecutor(1, "campaign draw")
-            todo = list(enumerate(later))
-            self.pending = (point, todo, 1 - slot, later, self.helper.submit(self._draw, point, todo, 1 - slot))
-        bits, y = (a[:rows] for a in self.slots[slot])
+            ahead = list(enumerate(later))
+            self.pending = (point, ahead, 1 - slot, later, self.helper.submit(self._draw, point, ahead, 1 - slot))
+            if pending is not None and todo is shared:  # the helper writes only this slot until busy is done
+                self._draw(point, ahead, 1 - slot, busy)
+        if pending is not None:
+            busy.result()  # no draw writes this slot from here; raises what the draw raised
+        bits, z = (a[:rows] for a in self.slots[slot])
         # A correct decode hands back the message in its first k bits: the
         # padded plaintext for the aes code, the systematic codeword for the rlc.
         ref = np.zeros((rows, cfg.params.nbytes), np.uint8)
         ref[:, : -(-k // 8)] = np.packbits(bits, axis=1)
-        if cfg.code_kind == "aes":
-            cw_bits = np.unpackbits(self.oracle.cipher.encrypt_batch(ref), axis=1)
-        else:
-            cw_bits = self.oracle.code.encode_bits(bits)
-        # y = sigma z + x in the slot's normals, x = 1 - 2c as int8 (awgn_samples's
-        # sums); ORBGRAND's reliabilities are then the |LLR|s, formed in place.
-        y *= sigma
-        y += np.subtract(1, cw_bits << 1, dtype=np.int8)
-        words = np.packbits(hard_bits(y, out=scratch("hard bits", (rows, n), np.uint8)), axis=1)
-        reliability = np.abs(llr_from_samples(y, sigma, out=y), out=y) if cfg.decoder_kind == "orbgrand" else None
-        found, blocks, queries = guess(words, self.oracle, cfg.max_queries, reliability)
+        code = self.oracle.cipher.encrypt_batch(ref) if cfg.code_kind == "aes" else self.oracle.code.encode(ref)
+        # y = sigma z + x < 0, x = 1 - 2c as int8 (awgn_samples's sums), iff the
+        # float sigma z < -x, so iff z < t0, or z < t1 where c is 1: no y is formed.
+        below = scratch("hard bits", (rows, n), np.bool_)
+        words = np.packbits(np.less(z, t0, out=below), axis=1)
+        words |= code & np.packbits(np.less(z, t1, out=below), axis=1)
+        def abs_llrs(searched, out):  # ORBGRAND's reliabilities, formed only for the rows that search
+            y = z.take(searched, axis=0, out=out, mode="clip")
+            y *= sigma
+            y += np.subtract(1, np.unpackbits(code[searched], axis=1, count=n) << 1, dtype=np.int8)
+            return np.abs(llr_from_samples(y, sigma, out=y), out=y)
+        found, blocks, queries = guess(words, self.oracle, cfg.max_queries,
+                                       abs_llrs if cfg.decoder_kind == "orbgrand" else None)
         rec = np.empty(rows, _RECORD)
         rec["bit_errors"] = np.bitwise_count((blocks ^ ref) & self.msg_mask).sum(axis=1, dtype=np.int64)
         rec["bit_errors"][~found] = (k + 1) // 2
         rec["queries"] = queries
         rec["abandoned"] = ~found
         return rec
+
+
+def _least_z(sigma, v):
+    """The least float64 z with z * sigma >= v in float64 (nondecreasing in z), stepped to from v / sigma."""
+    z = v / sigma
+    while z * sigma < v or math.nextafter(z, -math.inf) * sigma >= v:
+        z = math.nextafter(z, math.inf if z * sigma < v else -math.inf)
+    return z
 
 
 def run_block(config, point_index, trial_index):

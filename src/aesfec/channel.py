@@ -93,12 +93,9 @@ def add_awgn(x, sigma, rng):
     return SoftWord(samples=y, llrs=llr_from_samples(y, sigma), sigma=sigma)
 
 
-def hard_bits(samples, out=None):
-    """Per-sample hard decisions as a uint8 array (ties resolve to bit 0).
-
-    out, a uint8 array of the samples' shape, receives the bits.
-    """
-    return np.less(samples, 0, out=out).view(np.uint8)
+def hard_bits(samples):
+    """Per-sample hard decisions as a uint8 array (ties resolve to bit 0)."""
+    return np.less(samples, 0).view(np.uint8)
 
 
 def hard_decision(word):

@@ -114,19 +114,22 @@ def _cmd_run(args):
     csv_path = out.with_suffix(".csv")
     if csv_path == out:
         return _fail(f"--out {out} is also where the CSV goes; give the JSON path another suffix")
-    for path in (out, csv_path):
-        if path.is_dir():
-            return _fail(f"--out {out}: {path} is a directory, not a file the results can be written to")
     try:
+        for path in (out, csv_path):
+            if path.is_dir():
+                return _fail(f"--out {out}: {path} is a directory, not a file the results can be written to")
         out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        return _fail(f"cannot create output directory: {e}")
+    except OSError as e:  # a name too long, or a file where a directory should be
+        return _fail(f"--out {out}: cannot write there or create its output directory: {e.strerror or e}")
     if not args.quiet:
         print(f"running {config.code_kind}/{config.decoder_kind} n={config.n} k={config.k} "
               f"grid={list(config.ebn0_grid_db)} seed={config.master_seed}")
     result = run_campaign(config, workers=args.workers, progress=not args.quiet)
-    out.write_text(result.to_json())
-    csv_path.write_text(plot_data_csv([(out, result)]))
+    try:
+        out.write_text(result.to_json())
+        csv_path.write_text(plot_data_csv([(out, result)]))
+    except OSError as e:
+        return _fail(f"{e.filename or out}: {e.strerror or e}")
     if not args.quiet:
         print(f"wrote {out} and {csv_path} ({result.meta['wall_time_s']:.1f} s)")
     _print_table(result)

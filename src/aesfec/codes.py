@@ -253,9 +253,18 @@ class RlcCode:
         msgs = np.asarray(msgs, dtype=np.uint8)
         if msgs.ndim != 2 or msgs.shape[1] != self.params.k:
             raise ValueError(f"expected (B, {self.params.k}) message bits, got shape {msgs.shape}")
-        syn = self.syndromes(np.packbits(msgs, axis=1))
-        parity = np.unpackbits(syn.view(np.uint8), axis=1, count=self.params.pad_bits)
-        return np.hstack([msgs, parity])
+        return np.unpackbits(self.encode(np.packbits(msgs, axis=1)), axis=1, count=self.params.n)
+
+    def encode(self, words):
+        """(B, m) packed messages, m <= nbytes, zero from bit k -> (B, nbytes) packed codewords."""
+        k = self.params.k
+        # The parity, the word's syndrome, from bit k: each byte spans two.
+        parity = self.syndromes(words).view(np.uint8)[:, : -(-self.params.pad_bits // 8)] << np.uint16(8 - k % 8)
+        out = np.zeros((len(words), k // 8 + parity.shape[1] + 1), np.uint8)
+        out[:, : words.shape[1]] = words
+        out[:, k // 8 : -1] |= parity >> 8
+        out[:, k // 8 + 1 :] |= parity  # the low bytes
+        return out[:, : self.params.nbytes]
 
 
 def _syndrome_tables(h, nbytes):

@@ -35,13 +35,14 @@ of y XORed with the images of the positions e flips, the oracle's
 image_columns. Each order supplies a table whose entry r, a is the image
 of the position rank r flips in row a: for GRAND, whose ranks are
 positions, the column images, one entry serving every row; for ORBGRAND,
-from the rows' stable rankings of |LLR| (_ranking), only as wide as the
-ranks the steps read: it holds rank 0 at first and at least doubles, for
-the rows still searching, when a step reads past it (searches at 4.5 dB
-read ranks up to 54). A step XORs each pattern's entries in lanes (the
-widest unsigned integer dividing the image width), copies the patterns
-over the rows as whole images and XORs the rows' images in flat: an XOR
-whose innermost axis is an image's few lanes runs several times slower.
+from the stable rankings of |LLR| (_ranking) of the rows that search, the
+only rows whose |LLR|s are asked for, only as wide as the ranks the steps
+read: it holds rank 0 at first and at least doubles, for the rows still
+searching, when a step reads past it (searches at 4.5 dB read ranks up to
+54). A step XORs each pattern's entries in lanes (the widest unsigned
+integer dividing the image width), copies the patterns over the rows as
+whole images and XORs the rows' images in flat: an XOR whose innermost
+axis is an image's few lanes runs several times slower.
 Acceptance of an image is acceptance of the word it images, so the
 queries counted, the blocks accepted and the budget cut are those of a
 search over words. A hit records only its query count; then each hit
@@ -274,16 +275,15 @@ def _patterns(n, blocks):
     return _Patterns(blocks(n))
 
 
-def _ranking(rel, rows):
-    """np.argsort(rel[rows], axis=1, kind="stable") of float64 rel in
-    np.min_scalar_type(n); a ValueError if one of the rows holds a negative
-    or NaN value. Nonnegative float64s order as their bits do, the sign bit
-    (set on -0.0) cleared, so the bits with the position in place of the
-    last mantissa bits sort (faster than an argsort) to the positions in
-    value order, unless two of a row's values agree in all other bits: only
-    such rows are sorted again, stably."""
-    n = rel.shape[1]
-    vals = rel.take(rows, axis=0, out=scratch("rank keys", (len(rows), n), np.float64), mode="clip")
+def _ranking(reliability, rows, n):
+    """np.argsort(reliability(rows, out=...), axis=1, kind="stable") in
+    np.min_scalar_type(n) (see guess); a ValueError if one of the rows holds
+    a negative or NaN value. Nonnegative float64s order as their bits do,
+    the sign bit (set on -0.0) cleared, so the bits with the position in
+    place of the last mantissa bits sort (faster than an argsort) to the
+    positions in value order, unless two of a row's values agree in all
+    other bits: only such rows are asked for again and sorted stably."""
+    vals = reliability(rows, out=scratch("rank keys", (len(rows), n), np.float64))
     if vals.size and not vals.min() >= 0:  # min propagates NaN
         raise ValueError("reliabilities must be nonnegative |LLR|s; a row that searches has a negative or NaN one")
     keys, shift = vals.view(np.uint64), max(1, (n - 1).bit_length())
@@ -294,8 +294,8 @@ def _ranking(rel, rows):
     keys >>= np.uint64(shift)
     tied = keys[:, 1:] == keys[:, :-1]
     if tied.any():  # a whole-array any is several times faster than one per row
-        tied = tied.any(axis=1)
-        order[tied] = rel[rows[tied]].argsort(axis=1, kind="stable")
+        tied = np.flatnonzero(tied.any(axis=1))
+        order[tied] = reliability(rows[tied], out=np.empty((len(tied), n))).argsort(axis=1, kind="stable")
     return order
 
 
@@ -318,21 +318,24 @@ def _with_zero_row(columns):
 def guess(words, oracle, max_queries, reliability=None):
     """Decode every row of a batch of packed hard-decision words in lockstep.
 
-    reliability=None searches the Hamming order (GRAND); a (B, n) array of
-    |LLR| per row, read as float64, searches the logistic order through
-    each row's own reliability ranks (ORBGRAND). Returns (found (B,),
-    blocks (B, nbytes), queries (B,)). A found row's block is what the
-    oracle decoded at its first acceptance, reached at query `queries`; a
-    row not found was abandoned after min(max_queries, 2^n) queries, and
-    its block is meaningless.
+    reliability=None searches the Hamming order (GRAND). Else the logistic
+    order runs through each row's own |LLR| ranks (ORBGRAND), from a (B, n)
+    array, read as float64, or from reliability(rows, out=...), which writes
+    the |LLR|s of rows that fail the first query into out and returns it.
+    Returns (found (B,), blocks (B, nbytes), queries (B,)). A found row's
+    block is what the oracle decoded at its first acceptance, reached at
+    query `queries`; a row not found was abandoned after min(max_queries,
+    2^n) queries, and its block is meaningless.
     """
     max_queries = integer("max_queries", max_queries, 1)
     n, nbytes = oracle.params.n, oracle.params.nbytes
     words = np.asarray(words, dtype=np.uint8)
     if words.ndim != 2 or words.shape[1] != nbytes:
         raise ValueError(f"expected (B, {nbytes}) packed words, got shape {words.shape}")
-    if reliability is not None and np.shape(reliability) != (len(words), n):
-        raise ValueError(f"expected ({len(words)}, {n}) reliabilities, got shape {np.shape(reliability)}")
+    if reliability is not None and not callable(reliability):
+        if np.shape(reliability) != (len(words), n):
+            raise ValueError(f"expected ({len(words)}, {n}) reliabilities, got shape {np.shape(reliability)}")
+        reliability = functools.partial(np.take, np.asarray(reliability, np.float64), axis=0, mode="clip")
     ok, blocks = oracle.decode_batch(words)
     found = np.array(ok, dtype=bool)
     blocks = np.array(blocks, dtype=np.uint8)  # a copy: some oracles hand back their input
@@ -352,9 +355,8 @@ def guess(words, oracle, max_queries, reliability=None):
         store = _patterns(n, _logistic_blocks)
         order = scratch("rank order", (n + 1, len(searched)), np.min_scalar_type(n))
         order[0] = 0
-        rel = np.asarray(reliability, dtype=np.float64)
         for part in (slice(s, s + _RANK_ROWS) for s in range(0, len(searched), _RANK_ROWS)):
-            np.add(_ranking(rel, searched[part]).T, 1, out=order[1:, part])
+            np.add(_ranking(reliability, searched[part], n).T, 1, out=order[1:, part])
         table = np.zeros((1, *image.shape), lane)  # rank 0; extended as the steps read further
     at = np.arange(len(searched))  # the searching rows' columns of order
     space = min(max_queries, 1 << n)

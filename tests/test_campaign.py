@@ -822,6 +822,93 @@ def test_run_batches_is_run_batch_per_batch(code, decoder, stride, size, first, 
     assert got.tobytes() == b"".join(sim.run_batches(point, [b]).tobytes() for b in chunk)
 
 
+# Every Eb/N0 the tests run, and two far outside them.
+TEST_GRID_DB = (-20.0, 0.0, 3.0, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0, 9.0, 12.0, 60.0)
+RATES = (116 / 128, 50 / 60)
+
+
+def _assert_thresholds_match_the_sum(ebn0, rate):
+    # run_batches takes bit 1 where z < t0, or z < t1 where the codeword
+    # bit is 1: that must be y < 0 for y = sigma z + x, x the int8 1 - 2c,
+    # at each threshold, at every float within 64 ulps of it, and at random
+    # normals and random values on both sides of it.
+    sigma = sigma_from_ebn0(ebn0, rate)
+    rng = np.random.default_rng(17)
+    for x, t in ((1, campaign._least_z(sigma, -1.0)), (-1, campaign._least_z(sigma, 1.0))):
+        near = (np.array([t]).view(np.int64) + np.arange(-64, 65)).view(np.float64)
+        z = np.concatenate([near, rng.standard_normal(10**5), rng.uniform(-2 * abs(t), 2 * abs(t), 10**4)])
+        y = z * sigma
+        y += np.full(len(z), x, np.int8)
+        assert np.array_equal(z < t, y < 0), (ebn0, rate, x)
+
+
+@pytest.mark.parametrize("rate", RATES)
+@pytest.mark.parametrize("ebn0", TEST_GRID_DB)
+def test_hard_decision_thresholds_are_exact_on_the_test_grids(ebn0, rate):
+    _assert_thresholds_match_the_sum(ebn0, rate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ebn0=st.floats(-10.0, 30.0), rate=st.sampled_from(RATES))
+def test_hard_decision_thresholds_are_exact(ebn0, rate):
+    _assert_thresholds_match_the_sum(ebn0, rate)
+
+
+@pytest.mark.parametrize("code", ["aes", "rlc"])
+def test_the_calling_thread_draws_later_while_the_helper_is_mid_batch(monkeypatch, code):
+    # The helper sleeps after taking each batch and before drawing it, so
+    # the calling thread finds it mid-batch. On a chunk that the calling
+    # thread then takes (the third step), it draws batches of the next chunk
+    # into the other slot meanwhile. On a chunk that it discards (the
+    # second, at another point) it must not: the helper is still to write
+    # that slot, at the rows of the next chunk's last batch. The steps must
+    # give the records of a simulation that has no helper, also with the
+    # interpreter switching threads every microsecond.
+    cfg = CampaignConfig(code_kind=code, decoder_kind="orbgrand", ebn0_grid_db=(5.0, 6.0), max_queries=2000,
+                         max_blocks=9 * TRIAL_BATCH + 44, master_seed=5)
+    steps = [(0, range(0, 1), range(3, 7)), (1, range(3, 7), range(6, 10)), (1, range(6, 10), range(0, 1)),
+             (1, range(0, 1), ())]
+    plain = campaign._Simulation(cfg)
+    want = [plain.run_batches(p, chunk).tobytes() for p, chunk, _ in steps]
+    draw = campaign._Simulation._draw
+    stolen = []
+
+    def slow_helper(self, point, todo, slot, busy=None):
+        if not threading.current_thread().name.startswith("campaign draw"):
+            before = len(todo)
+            draw(self, point, todo, slot, busy)
+            if busy is not None:
+                stolen.append(before - len(todo))
+            return
+        while True:
+            try:
+                one = [todo.pop()]
+            except IndexError:  # the calling thread took the last
+                return
+            time.sleep(0.05)
+            draw(self, point, one, slot)
+
+    monkeypatch.setattr(campaign._Simulation, "_draw", slow_helper)
+
+    def run():
+        sim = campaign._Simulation(cfg)
+        try:
+            assert [sim.run_batches(*step).tobytes() for step in steps] == want
+        finally:
+            sim.stop_helper()
+
+    _within(120, run)
+    assert sum(stolen) >= 1
+    stolen.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _within(120, run)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(stolen) >= 1
+
+
 def test_campaign_builds_one_cipher(monkeypatch):
     built = []
 

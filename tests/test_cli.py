@@ -156,6 +156,18 @@ def test_run_rejects_output_that_is_a_directory(tmp_path, capsys, monkeypatch, t
     assert [p.name for p in tmp_path.iterdir()] == ["x." + taken]
 
 
+def test_run_rejects_an_unusable_output_name_with_one_line(tmp_path, capsys):
+    # A file name longer than the file system allows fails as early as the
+    # platform's checks find it: one error line, no traceback, exit 2.
+    out = tmp_path / ("x" * 300 + ".json")
+    rc = main(["run", "--code", "rlc", "--ebn0", "8.0", "--min-block-errors", "1", "--max-blocks", "256",
+               "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_rejects_key_with_spaces_before_output(tmp_path):
     # 32 characters, but bytes.fromhex would skip the spaces and give 15 bytes.
     out = tmp_path / "out" / "x.json"

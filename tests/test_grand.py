@@ -1,6 +1,7 @@
 """Noise-guessing decoders: pattern orders, query accounting, budgets."""
 
 import copy
+import functools
 import itertools
 import pickle
 from math import comb, gcd
@@ -487,7 +488,8 @@ def test_ranking_is_the_full_stable_argsort(n, rows, decimals, seed):
     rel = np.abs(np.random.default_rng(seed).normal(0.0, 8.0, size=(rows, n)))
     if decimals is not None:
         rel = np.round(rel, decimals)
-    assert np.array_equal(grand._ranking(rel, np.arange(rows)), np.argsort(rel, axis=1, kind="stable"))
+    ranking = grand._ranking(functools.partial(np.take, rel, axis=0), np.arange(rows), n)
+    assert np.array_equal(ranking, np.argsort(rel, axis=1, kind="stable"))
 
 
 def test_ranking_sorts_tied_rows_stably():
@@ -506,7 +508,7 @@ def test_ranking_sorts_tied_rows_stably():
     # Repeated side by side, so that rows are long enough for the default
     # sort not to be an insertion sort.
     rel = np.tile(rel, 8)
-    ranking = grand._ranking(rel, np.arange(len(rel)))
+    ranking = grand._ranking(functools.partial(np.take, rel, axis=0), np.arange(len(rel)), rel.shape[1])
     assert np.array_equal(ranking, np.argsort(rel, axis=1, kind="stable"))
     assert ranking[:, :2].tolist() == [[4, 14], [0, 1], [1, 11], [1, 6], [5, 15]]
     assert ranking[4, -16:].tolist() == list(range(1, 80, 5))
@@ -598,6 +600,45 @@ def test_guess_with_tied_reliabilities_matches_one_row_decoders_and_reference(ca
         assert (bool(found[r]), int(queries[r])) == (ref[0], ref[2]) == (not out.abandoned, out.queries)
         if found[r]:
             assert np.array_equal(blocks[r], ref[1])
+
+
+@pytest.mark.parametrize("case", ["aes", "rlc"])
+def test_guess_through_a_row_function_matches_the_array(case):
+    # A campaign hands guess its |LLR|s as a function that writes the rows
+    # asked for. guess must ask only for rows that fail the first query and
+    # decode as from the whole array. Rows 0-15 are quantised to a few
+    # levels, so that their ranks tie and they are asked for again, for the
+    # stable re-sort. A NaN is refused in a row that searches, and never
+    # read in a row that does not.
+    oracle = CORE_CASES[case][0]
+    params = oracle.params
+    rng = np.random.default_rng(29)
+    sigma = sigma_from_ebn0(4.0, params.rate)
+    y = awgn_samples(modulate(transmitted_bits(oracle, rng, 64)), sigma, rng)
+    rel = np.abs(llr_from_samples(y, sigma))
+    rel[:16] = np.floor(rel[:16] / 4.0)
+    words = np.packbits(hard_bits(y), axis=1)
+    asked = []
+
+    def rows_of(values):
+        def write(rows, out):
+            asked.extend(rows.tolist())
+            return np.take(values, rows, axis=0, out=out)
+
+        return write
+
+    want = guess(words, oracle, 300, rel)
+    got = guess(words, oracle, 300, rows_of(rel))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    searched, quiet = np.flatnonzero(want[2] > 1), np.flatnonzero(want[2] == 1)
+    assert set(asked) == set(searched.tolist()) and quiet.size
+    assert any(asked.count(r) == 2 for r in range(16))
+    bad = rel.copy()
+    bad[quiet[0], 3] = np.nan
+    assert all(np.array_equal(a, b) for a, b in zip(guess(words, oracle, 300, rows_of(bad)), want))
+    bad[searched[-1], 3] = np.nan
+    with pytest.raises(ValueError, match="negative or NaN"):
+        guess(words, oracle, 300, rows_of(bad))
 
 
 def test_guess_rows_match_the_same_rows_alone_as_buffers_change_shape():
